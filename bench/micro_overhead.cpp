@@ -37,9 +37,10 @@ void BM_ComputeShares(benchmark::State& state) {
   for (int i = 0; i < state.range(0); ++i) {
     reqs.push_back({i % 3, i % 2 ? 2.0 : 1.0, gpu::OpClass::kConv});
   }
+  gpu::ShareBuffers out;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        gpu::compute_shares(model, 68, ctx_sms, reqs, gpu::SharingParams{}));
+    gpu::compute_shares(model, 68, ctx_sms, reqs, gpu::SharingParams{}, out);
+    benchmark::DoNotOptimize(out.grants.data());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

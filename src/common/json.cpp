@@ -166,7 +166,9 @@ void JsonValue::set(const std::string& key, JsonValue v) {
 
 namespace {
 
-/// Recursive-descent parser with 1-based line/column tracking.
+/// Recursive-descent parser with 1-based line/column tracking. Nesting is
+/// capped at kMaxJsonDepth so hostile input fails with a positioned error
+/// instead of exhausting the stack.
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -226,8 +228,17 @@ class Parser {
     if (at_end()) fail("unexpected end of input, expected a value");
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (depth_ == kMaxJsonDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxJsonDepth) +
+               " levels");
+        }
+        ++depth_;
+        JsonValue v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return JsonValue::of(parse_string());
       case 't': return parse_keyword("true", JsonValue::of(true));
       case 'f': return parse_keyword("false", JsonValue::of(false));
@@ -396,6 +407,7 @@ class Parser {
   std::size_t pos_ = 0;
   int line_ = 1;
   int col_ = 1;
+  int depth_ = 0;  // open arrays/objects around the current value
 };
 
 }  // namespace

@@ -97,6 +97,10 @@ class JsonValue {
   std::vector<Member> obj_;
 };
 
+/// Deepest array/object nesting parse_json accepts; deeper input is a
+/// JsonError at the first bracket past the limit.
+inline constexpr int kMaxJsonDepth = 128;
+
 /// Parses one JSON document (with optional `//` comments). Trailing
 /// non-whitespace after the document is an error. Throws JsonError.
 JsonValue parse_json(std::string_view text);

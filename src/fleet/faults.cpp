@@ -98,10 +98,12 @@ void validate_fault_spec(const FaultSpec& spec, const std::string& path) {
     const auto& e = spec.events[i];
     const std::string p = path + ".events[" + std::to_string(i) + "]";
     if (e.at_s < 0.0) bad(p + ".at_s", "must be >= 0");
+    checked_seconds(e.at_s, p + ".at_s");
     if (e.device < -1) bad(p, "device index must be >= 0 (or -1 to pick "
                                "at fire time)");
     if (e.count < 1) bad(p + ".count", "must be >= 1");
     if (e.down_s < 0.0) bad(p + ".down_s", "must be >= 0");
+    checked_seconds(e.down_s, p + ".down_s");
     if (e.kind == FaultEvent::Kind::kRecover) {
       if (e.device < 0) {
         bad(p + ".recover", "a recover event must name its device");
@@ -117,7 +119,11 @@ void validate_fault_spec(const FaultSpec& spec, const std::string& path) {
   if (pr.mtbf_s == 0.0 && pr.mttr_s > 0.0) {
     bad(pp + ".mttr_s", "needs a mtbf_s to repair from");
   }
+  checked_seconds(pr.mtbf_s, pp + ".mtbf_s");
+  checked_seconds(pr.mttr_s, pp + ".mttr_s");
   if (pr.from_s < 0.0 || pr.until_s < 0.0) bad(pp, "times must be >= 0");
+  checked_seconds(pr.from_s, pp + ".from_s");
+  checked_seconds(pr.until_s, pp + ".until_s");
   if (pr.until_s > 0.0 && pr.until_s < pr.from_s) {
     bad(pp + ".until_s", "must be >= from_s");
   }
@@ -126,8 +132,10 @@ void validate_fault_spec(const FaultSpec& spec, const std::string& path) {
   const std::string fp = path + ".failover";
   if (f.max_attempts < 1) bad(fp + ".max_attempts", "must be >= 1");
   if (f.backoff_ms < 0.0) bad(fp + ".backoff_ms", "must be >= 0");
+  checked_seconds(f.backoff_ms * 1e-3, fp + ".backoff_ms");
   if (f.backoff_mult < 1.0) bad(fp + ".backoff_mult", "must be >= 1");
   if (f.jitter_ms < 0.0) bad(fp + ".jitter_ms", "must be >= 0");
+  checked_seconds(f.jitter_ms * 1e-3, fp + ".jitter_ms");
 
   if (spec.min_active_devices < 0) {
     bad(path + ".min_active_devices", "must be >= 0");

@@ -172,8 +172,11 @@ void validate_fleet_policy(const FleetPolicySpec& spec,
     bad(ap + ".headroom", "must be in (0, 1)");
   }
   if (a.tick_ms <= 0.0) bad(ap + ".tick_ms", "must be > 0");
+  checked_period(a.tick_ms * 1e-3, ap + ".tick_ms");
   if (a.warmup_ms < 0.0) bad(ap + ".warmup_ms", "must be >= 0");
+  checked_seconds(a.warmup_ms * 1e-3, ap + ".warmup_ms");
   if (a.cooldown_ms < 0.0) bad(ap + ".cooldown_ms", "must be >= 0");
+  checked_seconds(a.cooldown_ms * 1e-3, ap + ".cooldown_ms");
   if (!a.device.empty() && !gpu::device_by_name(a.device)) {
     bad(ap + ".device", "unknown device \"" + a.device + "\" (want " +
                             gpu::device_names() + ")");
@@ -188,6 +191,7 @@ void validate_fleet_policy(const FleetPolicySpec& spec,
   if (spec.series_window_ms <= 0.0) {
     bad(path + ".series_window_ms", "must be > 0");
   }
+  checked_period(spec.series_window_ms * 1e-3, path + ".series_window_ms");
 }
 
 }  // namespace sgprs::fleet

@@ -61,9 +61,14 @@ StreamTemplate parse_stream_template(const common::JsonValue& v,
 void validate_stream_template(const StreamTemplate& t,
                               const std::string& path) {
   if (t.fps <= 0.0) bad(path + ".fps", "must be > 0");
+  checked_period(1.0 / t.fps, path + ".fps");
   if (t.num_stages < 1) bad(path + ".stages", "must be >= 1");
   if (t.deadline_ms < 0.0) bad(path + ".deadline_ms", "must be >= 0");
   if (t.phase_ms < 0.0) bad(path + ".phase_ms", "must be >= 0");
+  checked_seconds(t.deadline_ms * 1e-3, path + ".deadline_ms");
+  checked_seconds(t.phase_ms * 1e-3, path + ".phase_ms");
+  checked_seconds(t.min_separation_ms * 1e-3, path + ".min_separation_ms");
+  checked_seconds(t.max_separation_ms * 1e-3, path + ".max_separation_ms");
   if (t.tier < 0) bad(path + ".tier", "must be >= 0");
   if (t.mem_mb < 0.0 && t.mem_mb != -1.0) {
     bad(path + ".mem_mb", "must be >= 0 (or omitted to derive from the "
@@ -216,6 +221,10 @@ void validate_timeline(const TimelineSpec& spec, const std::string& path) {
     if (e.at_s < 0.0 || e.from_s < 0.0 || e.until_s < 0.0 || e.every_s < 0.0) {
       bad(p, "times must be >= 0");
     }
+    checked_seconds(e.at_s, p + ".at_s");
+    checked_seconds(e.from_s, p + ".from_s");
+    checked_seconds(e.until_s, p + ".until_s");
+    if (e.every_s > 0.0) checked_period(e.every_s, p + ".every_s");
     if (e.every_s > 0.0 && e.until_s > 0.0 && e.until_s < e.from_s) {
       bad(p + ".until_s", "must be >= from_s");
     }
@@ -234,10 +243,14 @@ void validate_timeline(const TimelineSpec& spec, const std::string& path) {
       bad(p + ".template", "unknown template \"" + a.tmpl + "\"");
     }
     if (a.rate_per_s <= 0.0) bad(p + ".rate_per_s", "must be > 0");
+    checked_period(1.0 / a.rate_per_s, p + ".rate_per_s");
     if (a.lifetime_min_s < 0.0 || a.lifetime_max_s < a.lifetime_min_s) {
       bad(p + ".lifetime_s", "needs 0 <= min_s <= max_s");
     }
+    checked_seconds(a.lifetime_max_s, p + ".lifetime_s");
     if (a.from_s < 0.0 || a.until_s < 0.0) bad(p, "times must be >= 0");
+    checked_seconds(a.from_s, p + ".from_s");
+    checked_seconds(a.until_s, p + ".until_s");
     if (a.until_s > 0.0 && a.until_s < a.from_s) {
       bad(p + ".until_s", "must be >= from_s");
     }

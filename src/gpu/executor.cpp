@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/check.hpp"
 
@@ -26,6 +27,7 @@ ContextId Executor::create_context(int sm_limit) {
   SGPRS_CHECK_MSG(sm_limit > 0 && sm_limit <= device_.total_sms,
                   "context SM limit must be in [1, total_sms]");
   contexts_.push_back(Context{sm_limit});
+  ctx_sms_.push_back(sm_limit);
   return static_cast<ContextId>(contexts_.size() - 1);
 }
 
@@ -34,7 +36,7 @@ StreamId Executor::create_stream(ContextId ctx, StreamPriority priority) {
   Stream s;
   s.ctx = ctx;
   s.priority = priority;
-  streams_.push_back(std::move(s));
+  streams_.push_back(s);
   return static_cast<StreamId>(streams_.size() - 1);
 }
 
@@ -55,12 +57,12 @@ StreamPriority Executor::stream_priority(StreamId s) const {
 
 std::size_t Executor::stream_queue_length(StreamId s) const {
   SGPRS_CHECK(s >= 0 && s < stream_count());
-  return streams_[s].queue.size();
+  return streams_[s].queued;
 }
 
 bool Executor::stream_busy(StreamId s) const {
   SGPRS_CHECK(s >= 0 && s < stream_count());
-  return streams_[s].running != nullptr || !streams_[s].queue.empty();
+  return streams_[s].running != kNil || streams_[s].queued > 0;
 }
 
 int Executor::running_kernel_count() const { return running_count_; }
@@ -77,24 +79,54 @@ double Executor::busy_sm_seconds() const {
 
 SimTime Executor::running_remaining(StreamId s) const {
   SGPRS_CHECK(s >= 0 && s < stream_count());
-  const auto& run = streams_[s].running;
-  if (!run) return SimTime::max();
+  if (streams_[s].running == kNil) return SimTime::max();
+  const Node& run = nodes_[streams_[s].running];
   const double elapsed = (engine_.now() - last_update_).to_sec();
-  double rem_over = std::max(0.0, run->rem_overhead - elapsed);
-  double consumed = std::max(0.0, elapsed - run->rem_overhead);
-  double rem_work = std::max(0.0, run->rem_work - consumed * run->rate);
-  const double rate = run->rate > 0.0 ? run->rate : 1e-9;
+  double rem_over = std::max(0.0, run.rem_overhead - elapsed);
+  double consumed = std::max(0.0, elapsed - run.rem_overhead);
+  double rem_work = std::max(0.0, run.rem_work - consumed * run.rate);
+  const double rate = run.rate > 0.0 ? run.rate : 1e-9;
   return SimTime::from_sec(rem_over + rem_work / rate);
 }
 
-void Executor::enqueue(StreamId stream, KernelDesc kernel,
+std::uint32_t Executor::acquire_node() {
+  ++live_nodes_;
+  if (free_head_ != kNil) {
+    const std::uint32_t n = free_head_;
+    free_head_ = nodes_[n].next;
+    nodes_[n].next = kNil;
+    return n;
+  }
+  SGPRS_CHECK_MSG(nodes_.size() < static_cast<std::size_t>(kNil),
+                  "kernel slab exhausted");
+  nodes_.emplace_back();
+  return static_cast<std::uint32_t>(nodes_.size() - 1);
+}
+
+void Executor::release_node(std::uint32_t n) {
+  nodes_[n].on_done = nullptr;
+  nodes_[n].next = free_head_;
+  free_head_ = n;
+  --live_nodes_;
+}
+
+void Executor::enqueue(StreamId stream, const KernelDesc& kernel,
                        CompletionFn on_done) {
   SGPRS_CHECK(stream >= 0 && stream < stream_count());
   SGPRS_CHECK(kernel.work_sm_seconds >= 0.0);
   SGPRS_CHECK(kernel.overhead_seconds >= 0.0);
+  const std::uint32_t n = acquire_node();
+  nodes_[n].desc = kernel;
+  nodes_[n].on_done = std::move(on_done);
   Stream& s = streams_[stream];
-  s.queue.push_back(Pending{std::move(kernel), std::move(on_done)});
-  if (!s.running) {
+  if (s.tail == kNil) {
+    s.head = n;
+  } else {
+    nodes_[s.tail].next = n;
+  }
+  s.tail = n;
+  ++s.queued;
+  if (s.running == kNil) {
     advance_progress();
     start_next(stream);
     reschedule();
@@ -105,10 +137,8 @@ void Executor::enqueue_batch(StreamId stream, std::vector<KernelDesc> kernels,
                              CompletionFn on_all_done) {
   SGPRS_CHECK_MSG(!kernels.empty(), "enqueue_batch requires >= 1 kernel");
   const std::size_t last = kernels.size() - 1;
-  for (std::size_t i = 0; i < kernels.size(); ++i) {
-    enqueue(stream, std::move(kernels[i]),
-            i == last ? std::move(on_all_done) : CompletionFn{});
-  }
+  for (std::size_t i = 0; i < last; ++i) enqueue(stream, kernels[i], {});
+  enqueue(stream, kernels[last], std::move(on_all_done));
 }
 
 void Executor::purge_all() {
@@ -117,9 +147,16 @@ void Executor::purge_all() {
   // events, no work_done_ for the unfinished residue.
   advance_progress();
   for (auto& s : streams_) {
-    s.queue.clear();
-    if (s.running) {
-      s.running.reset();
+    for (std::uint32_t n = s.head; n != kNil;) {
+      const std::uint32_t next = nodes_[n].next;
+      release_node(n);
+      n = next;
+    }
+    s.head = s.tail = kNil;
+    s.queued = 0;
+    if (s.running != kNil) {
+      release_node(s.running);
+      s.running = kNil;
       --running_count_;
       --contexts_[s.ctx].running_count;
     }
@@ -129,7 +166,6 @@ void Executor::purge_all() {
     engine_.cancel(completion_event_);
     completion_event_ = sim::kInvalidEvent;
   }
-  needs_reschedule_ = false;
 }
 
 double Executor::priority_weight(StreamPriority p) const {
@@ -142,9 +178,9 @@ void Executor::advance_progress() {
   const double elapsed = (now - last_update_).to_sec();
   last_update_ = now;
   if (elapsed <= 0.0 || running_count_ == 0) return;
-  for (auto& s : streams_) {
-    if (!s.running) continue;
-    Running& r = *s.running;
+  for (const auto& s : streams_) {
+    if (s.running == kNil) continue;
+    Node& r = nodes_[s.running];
     double dt = elapsed;
     if (r.rem_overhead > 0.0) {
       const double t = std::min(dt, r.rem_overhead);
@@ -162,58 +198,50 @@ void Executor::advance_progress() {
 
 void Executor::start_next(StreamId sid) {
   Stream& s = streams_[sid];
-  SGPRS_CHECK(!s.running);
-  if (s.queue.empty()) return;
-  Pending p = std::move(s.queue.front());
-  s.queue.pop_front();
-  auto r = std::make_unique<Running>();
-  r->desc = std::move(p.desc);
-  r->on_done = std::move(p.on_done);
-  r->rem_overhead = r->desc.overhead_seconds;
-  r->rem_work = r->desc.work_sm_seconds;
-  s.running = std::move(r);
+  SGPRS_CHECK(s.running == kNil);
+  if (s.head == kNil) return;
+  const std::uint32_t n = s.head;
+  Node& r = nodes_[n];
+  s.head = r.next;
+  if (s.head == kNil) s.tail = kNil;
+  --s.queued;
+  r.next = kNil;
+  r.rem_overhead = r.desc.overhead_seconds;
+  r.rem_work = r.desc.work_sm_seconds;
+  r.rate = 0.0;
+  r.granted_sms = 0.0;
+  s.running = n;
   ++running_count_;
   ++contexts_[s.ctx].running_count;
-  if (trace_) {
-    trace_->on_kernel_start(engine_.now(), s.ctx, sid, s.running->desc);
-  }
+  if (trace_) trace_->on_kernel_start(engine_.now(), s.ctx, sid, r.desc);
 }
 
 void Executor::reschedule() {
-  if (defer_depth_ > 0) {
-    needs_reschedule_ = true;
-    return;
-  }
+  if (defer_depth_ > 0) return;
   // Collect running kernels into share requests.
-  std::vector<ShareRequest> reqs;
-  std::vector<StreamId> req_stream;
-  reqs.reserve(static_cast<std::size_t>(running_count_));
-  for (StreamId sid = 0; sid < stream_count(); ++sid) {
-    const Stream& s = streams_[sid];
-    if (!s.running) continue;
-    reqs.push_back(
-        ShareRequest{s.ctx, priority_weight(s.priority), s.running->desc.op});
-    req_stream.push_back(sid);
+  reqs_.clear();
+  req_nodes_.clear();
+  for (const auto& s : streams_) {
+    if (s.running == kNil) continue;
+    reqs_.push_back(ShareRequest{s.ctx, priority_weight(s.priority),
+                                 nodes_[s.running].desc.op});
+    req_nodes_.push_back(s.running);
   }
 
   if (completion_event_ != sim::kInvalidEvent) {
     engine_.cancel(completion_event_);
     completion_event_ = sim::kInvalidEvent;
   }
-  if (reqs.empty()) return;
+  if (reqs_.empty()) return;
 
-  std::vector<int> ctx_sms;
-  ctx_sms.reserve(contexts_.size());
-  for (const auto& c : contexts_) ctx_sms.push_back(c.sm_limit);
-
-  const auto grants =
-      compute_shares(speedup_, device_.total_sms, ctx_sms, reqs, sharing_);
+  compute_shares(speedup_, device_.total_sms, ctx_sms_, reqs_, sharing_,
+                 shares_);
 
   double min_finish = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < reqs.size(); ++i) {
-    Running& r = *streams_[req_stream[i]].running;
-    r.rate = grants[i].rate;
-    r.granted_sms = grants[i].sms;
+  for (std::size_t i = 0; i < reqs_.size(); ++i) {
+    Node& r = nodes_[req_nodes_[i]];
+    r.rate = shares_.grants[i].rate;
+    r.granted_sms = shares_.grants[i].sms;
     SGPRS_CHECK(r.rate > 0.0);
     const double finish = r.rem_overhead + r.rem_work / r.rate;
     min_finish = std::min(min_finish, finish);
@@ -231,40 +259,38 @@ void Executor::on_completion_event() {
   completion_event_ = sim::kInvalidEvent;
   advance_progress();
 
-  // Collect every kernel that has finished (several can tie).
-  std::vector<StreamId> finished;
+  // Retire every kernel that has finished (several can tie) and start
+  // successors before firing callbacks, so that callbacks observe a
+  // consistent executor state. Retired nodes leave their streams but stay
+  // allocated until their callback has been moved out.
+  finished_.clear();
   for (StreamId sid = 0; sid < stream_count(); ++sid) {
     Stream& s = streams_[sid];
-    if (s.running && s.running->rem_overhead <= 0.0 &&
-        s.running->rem_work <= kWorkEpsilon) {
-      finished.push_back(sid);
-    }
-  }
-  SGPRS_CHECK_MSG(!finished.empty(),
-                  "completion event fired with no finished kernel");
-
-  // Retire finished kernels and start successors before firing callbacks so
-  // that callbacks observe a consistent executor state.
-  std::vector<std::pair<CompletionFn, KernelDesc>> callbacks;
-  for (StreamId sid : finished) {
-    Stream& s = streams_[sid];
-    Running& r = *s.running;
+    if (s.running == kNil) continue;
+    const Node& r = nodes_[s.running];
+    if (r.rem_overhead > 0.0 || r.rem_work > kWorkEpsilon) continue;
     work_done_ += r.rem_work;  // residue below epsilon
     if (trace_) trace_->on_kernel_end(engine_.now(), s.ctx, sid, r.desc);
-    callbacks.emplace_back(std::move(r.on_done), std::move(r.desc));
-    s.running.reset();
+    finished_.push_back(s.running);
+    s.running = kNil;
     --running_count_;
     --contexts_[s.ctx].running_count;
     start_next(sid);
   }
+  SGPRS_CHECK_MSG(!finished_.empty(),
+                  "completion event fired with no finished kernel");
 
+  // Callbacks may enqueue (growing the slab, so move each callback out
+  // first) but never reach this loop's scratch: their reschedules are
+  // deferred until every callback has run.
   ++defer_depth_;
   const SimTime now = engine_.now();
-  for (auto& [fn, desc] : callbacks) {
-    if (fn) fn(now);
+  for (const std::uint32_t n : finished_) {
+    CompletionFn fn = std::move(nodes_[n].on_done);
+    release_node(n);
+    if (fn) fn.call_and_reset(now);
   }
   --defer_depth_;
-  needs_reschedule_ = false;
   reschedule();
 }
 

@@ -11,14 +11,18 @@
 // wait in the stream's queue. This mirrors CUDA stream semantics and is what
 // the scheduler layers on top of (it submits one *stage* — a kernel batch —
 // per stream at a time).
+//
+// Storage is allocation-free once a run has warmed up: queued and running
+// kernels live in one executor-wide slab of recycled nodes, linked into
+// intrusive per-stream FIFO lists; completion callbacks are held inline;
+// the rate-recompute scratch is reused across calls. docs/ARCHITECTURE.md
+// § "Executor storage" is the design note.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <memory>
 #include <vector>
 
+#include "common/inplace_function.hpp"
 #include "common/time.hpp"
 #include "gpu/device.hpp"
 #include "gpu/kernel.hpp"
@@ -37,7 +41,10 @@ using StreamId = int;
 enum class StreamPriority : std::uint8_t { kHigh = 0, kLow = 1 };
 
 /// Invoked in simulation time when a kernel (or batch) fully completes.
-using CompletionFn = std::function<void(SimTime)>;
+/// Inline capacity covers the schedulers' stage-completion captures (the
+/// largest: 32 bytes in rt::SgprsScheduler::dispatch); outgrowing it is a
+/// static_assert at the call site, never a heap allocation.
+using CompletionFn = common::InplaceFunction<void(SimTime), 32>;
 
 class Executor {
  public:
@@ -54,8 +61,10 @@ class Executor {
   /// Creates a stream in `ctx` with the given priority.
   StreamId create_stream(ContextId ctx, StreamPriority priority);
 
-  /// Enqueues one kernel; `on_done` (optional) fires at completion.
-  void enqueue(StreamId stream, KernelDesc kernel, CompletionFn on_done);
+  /// Enqueues one kernel; `on_done` (optional) fires at completion. A batch
+  /// is a run of enqueues with the callback on the last one.
+  void enqueue(StreamId stream, const KernelDesc& kernel,
+               CompletionFn on_done);
 
   /// Enqueues a batch in order; `on_all_done` fires when the last kernel
   /// completes. The batch must be non-empty.
@@ -89,6 +98,11 @@ class Executor {
   /// Estimated remaining time of the kernel running on `s` at current rates
   /// (SimTime::max() if the stream is idle). Queued kernels not included.
   SimTime running_remaining(StreamId s) const;
+  /// Kernel nodes ever allocated: the high-water mark of simultaneously
+  /// queued plus running kernels.
+  std::size_t slab_size() const { return nodes_.size(); }
+  /// Kernel nodes currently holding a queued or running kernel.
+  std::size_t live_nodes() const { return live_nodes_; }
 
   const DeviceSpec& device() const { return device_; }
   const SpeedupModel& speedup_model() const { return speedup_; }
@@ -98,25 +112,28 @@ class Executor {
   void set_trace_sink(TraceSink* sink) { trace_ = sink; }
 
  private:
-  struct Running {
+  static constexpr std::uint32_t kNil = 0xffffffffu;
+
+  /// One queued or running kernel. The progress fields are set when the
+  /// kernel starts; `next` links the stream FIFO, or the free list once
+  /// the node is recycled.
+  struct Node {
     KernelDesc desc;
     CompletionFn on_done;
     double rem_overhead = 0.0;  // seconds at unit rate
     double rem_work = 0.0;      // 1-SM seconds
     double rate = 0.0;          // work per second at last reschedule
     double granted_sms = 0.0;
-  };
-
-  struct Pending {
-    KernelDesc desc;
-    CompletionFn on_done;
+    std::uint32_t next = kNil;
   };
 
   struct Stream {
     ContextId ctx;
     StreamPriority priority;
-    std::deque<Pending> queue;
-    std::unique_ptr<Running> running;  // null when idle
+    std::uint32_t running = kNil;  // executing node, kNil when idle
+    std::uint32_t head = kNil;     // queued FIFO behind `running`
+    std::uint32_t tail = kNil;
+    std::uint32_t queued = 0;
   };
 
   struct Context {
@@ -130,6 +147,8 @@ class Executor {
   void reschedule();
   void start_next(StreamId s);
   void on_completion_event();
+  std::uint32_t acquire_node();
+  void release_node(std::uint32_t n);
   double priority_weight(StreamPriority p) const;
 
   sim::Engine& engine_;
@@ -139,7 +158,17 @@ class Executor {
   TraceSink* trace_ = nullptr;
 
   std::vector<Context> contexts_;
+  std::vector<int> ctx_sms_;  // contexts_[c].sm_limit, as compute_shares wants
   std::vector<Stream> streams_;
+  std::vector<Node> nodes_;
+  std::uint32_t free_head_ = kNil;
+  std::size_t live_nodes_ = 0;
+
+  // Scratch reused by every reschedule / completion event.
+  std::vector<ShareRequest> reqs_;
+  std::vector<std::uint32_t> req_nodes_;
+  ShareBuffers shares_;
+  std::vector<std::uint32_t> finished_;
 
   SimTime last_update_ = SimTime::zero();
   sim::EventId completion_event_ = sim::kInvalidEvent;
@@ -149,7 +178,6 @@ class Executor {
   // Re-entrancy guard: completion callbacks may enqueue; defer rescheduling
   // until the outermost mutation finishes.
   int defer_depth_ = 0;
-  bool needs_reschedule_ = false;
 };
 
 }  // namespace sgprs::gpu

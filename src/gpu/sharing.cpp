@@ -7,31 +7,31 @@
 
 namespace sgprs::gpu {
 
-std::vector<ShareGrant> compute_shares(const SpeedupModel& model,
-                                       int device_total_sms,
-                                       const std::vector<int>& context_sms,
-                                       const std::vector<ShareRequest>& reqs,
-                                       const SharingParams& params) {
+void compute_shares(const SpeedupModel& model, int device_total_sms,
+                    const std::vector<int>& context_sms,
+                    const std::vector<ShareRequest>& reqs,
+                    const SharingParams& params, ShareBuffers& out) {
   SGPRS_CHECK(device_total_sms > 0);
-  std::vector<ShareGrant> grants(reqs.size());
-  if (reqs.empty()) return grants;
+  auto& grants = out.grants;
+  grants.assign(reqs.size(), ShareGrant{});
+  if (reqs.empty()) return;
 
-  // Per-context total weight of active kernels.
-  std::vector<double> ctx_weight(context_sms.size(), 0.0);
-  std::vector<bool> ctx_active(context_sms.size(), false);
+  // Per-context total weight of active kernels (weights are > 0, so a
+  // context is active iff its weight is).
+  auto& ctx_weight = out.ctx_weight;
+  ctx_weight.assign(context_sms.size(), 0.0);
   for (const auto& r : reqs) {
     SGPRS_CHECK(r.context >= 0 &&
                 r.context < static_cast<int>(context_sms.size()));
     SGPRS_CHECK(r.weight > 0.0);
     ctx_weight[r.context] += r.weight;
-    ctx_active[r.context] = true;
   }
 
   // Layer 2: demand = sum of SM allocations of contexts with running work.
   double demand = 0.0;
   int active_contexts = 0;
   for (std::size_t c = 0; c < context_sms.size(); ++c) {
-    if (ctx_active[c]) {
+    if (ctx_weight[c] > 0.0) {
       demand += static_cast<double>(context_sms[c]);
       ++active_contexts;
     }
@@ -64,7 +64,6 @@ std::vector<ShareGrant> compute_shares(const SpeedupModel& model,
     grants[i].sms = share;
     grants[i].rate = model.speedup(r.op, share) * rate_factor;
   }
-  return grants;
 }
 
 }  // namespace sgprs::gpu

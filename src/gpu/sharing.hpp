@@ -50,13 +50,21 @@ struct ShareGrant {
   double rate = 0.0;  // progress rate in (1-SM work)/second
 };
 
+/// Caller-owned storage of compute_shares: `grants` receives the result,
+/// `ctx_weight` is per-context scratch. Reusing one across calls keeps the
+/// allocator off the executor's rate-recompute path.
+struct ShareBuffers {
+  std::vector<ShareGrant> grants;
+  std::vector<double> ctx_weight;
+};
+
 /// Pure allocation function (separable from the executor for testing).
 /// `context_sms[i]` is context i's SM allocation; requests reference
-/// contexts by index. Returns one grant per request, in order.
-std::vector<ShareGrant> compute_shares(const SpeedupModel& model,
-                                       int device_total_sms,
-                                       const std::vector<int>& context_sms,
-                                       const std::vector<ShareRequest>& reqs,
-                                       const SharingParams& params);
+/// contexts by index. Writes one grant per request, in order, to
+/// `out.grants`.
+void compute_shares(const SpeedupModel& model, int device_total_sms,
+                    const std::vector<int>& context_sms,
+                    const std::vector<ShareRequest>& reqs,
+                    const SharingParams& params, ShareBuffers& out);
 
 }  // namespace sgprs::gpu

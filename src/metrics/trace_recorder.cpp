@@ -22,7 +22,7 @@ void TraceRecorder::on_kernel_end(gpu::SimTime t, int context, int stream,
   const auto& [start, desc] = it->second;
   Event e;
   e.name = desc.label.empty() ? std::string(gpu::to_string(k.op))
-                              : desc.label;
+                              : std::string(desc.label);
   e.context = context;
   e.stream = stream;
   e.start_us = start.ns / 1000;

@@ -36,11 +36,12 @@ PoolCapacityModel pool_capacity(const gpu::SpeedupModel& speedup,
       reqs.push_back({c, 1.0, rep_op});
     }
   }
-  const auto grants = gpu::compute_shares(speedup, device_total_sms, ctx_sms,
-                                          reqs, sharing);
+  gpu::ShareBuffers shares;
+  gpu::compute_shares(speedup, device_total_sms, ctx_sms, reqs, sharing,
+                      shares);
   PoolCapacityModel model;
-  for (const auto& g : grants) model.work_rate += g.rate;
-  model.total_slots = static_cast<int>(grants.size());
+  for (const auto& g : shares.grants) model.work_rate += g.rate;
+  model.total_slots = static_cast<int>(shares.grants.size());
   model.per_slot_rate = model.work_rate / model.total_slots;
   return model;
 }

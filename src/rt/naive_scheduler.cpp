@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "dnn/partition.hpp"
+#include "dnn/network.hpp"
 #include "obs/span.hpp"
 
 namespace sgprs::rt {
@@ -78,18 +78,17 @@ void NaiveScheduler::try_dispatch(int ctx_idx, SimTime now) {
 
   // Whole-network execution, no stage-level scheduling: every layer kernel
   // of the job in topological order on the single stream.
-  const auto& net = *job->task->network;
-  std::vector<gpu::KernelDesc> kernels;
-  kernels.reserve(net.node_count());
+  const dnn::Network& net = *job->task->network;
   const auto cost = dnn::CostModel::calibrated();
-  for (const auto& st : job->task->stages) {
-    auto stage_ks = dnn::stage_kernels(net, cost, st.nodes, job->tag());
-    for (auto& k : stage_ks) kernels.push_back(std::move(k));
+  const std::uint64_t tag = job->tag();
+  const dnn::NodeId last = net.node_count() - 1;
+  for (dnn::NodeId id = 0; id < last; ++id) {
+    exec_.enqueue(cs.stream, cost.kernel_for(net.layer(id), tag), {});
   }
-  exec_.enqueue_batch(cs.stream, std::move(kernels),
-                      [this, job, ctx_idx](SimTime t) {
-                        on_job_complete(*job, ctx_idx, t);
-                      });
+  exec_.enqueue(cs.stream, cost.kernel_for(net.layer(last), tag),
+                [this, job, ctx_idx](SimTime t) {
+                  on_job_complete(*job, ctx_idx, t);
+                });
   (void)now;
 }
 

@@ -4,7 +4,7 @@
 #include <limits>
 
 #include "common/check.hpp"
-#include "dnn/partition.hpp"
+#include "dnn/layer.hpp"
 #include "obs/span.hpp"
 
 namespace sgprs::rt {
@@ -266,16 +266,23 @@ void SgprsScheduler::dispatch(CtxState& cs, Slot& slot, QueuedStage qs,
   const int slot_idx = static_cast<int>(
       &slot - (high_slot ? cs.high_slots.data() : cs.low_slots.data()));
 
-  auto kernels = dnn::stage_kernels(
-      *job.task->network, dnn::CostModel::calibrated(),
-      job.task->stages[stage].nodes, job.tag());
+  // The stage's kernels go straight to the stream, the completion on the
+  // last one: no per-dispatch descriptor vector.
+  const dnn::Network& net = *job.task->network;
+  const auto& nodes = job.task->stages[stage].nodes;
+  const auto cost = dnn::CostModel::calibrated();
+  const std::uint64_t tag = job.tag();
+  const std::size_t last = nodes.size() - 1;
+  for (std::size_t i = 0; i < last; ++i) {
+    exec_.enqueue(slot.stream, cost.kernel_for(net.layer(nodes[i]), tag), {});
+  }
   Job* job_ptr = &job;
-  exec_.enqueue_batch(slot.stream, std::move(kernels),
-                      [this, job_ptr, stage, ctx_idx, slot_idx,
-                       high_slot](SimTime t) {
-                        on_stage_complete(*job_ptr, stage, ctx_idx, slot_idx,
-                                          high_slot, t);
-                      });
+  exec_.enqueue(slot.stream, cost.kernel_for(net.layer(nodes[last]), tag),
+                [this, job_ptr, stage, ctx_idx, slot_idx,
+                 high_slot](SimTime t) {
+                  on_stage_complete(*job_ptr, stage, ctx_idx, slot_idx,
+                                    high_slot, t);
+                });
 }
 
 void SgprsScheduler::on_stage_complete(Job& job, int stage, int ctx_idx,

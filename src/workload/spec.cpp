@@ -64,10 +64,12 @@ void parse_sim(const JsonValue& v, ScenarioConfig& cfg,
   require_object(v, path);
   check_keys(v, {"duration_s", "warmup_s", "seed", "jitter_phases", "shards"},
              path);
-  cfg.duration = common::SimTime::from_sec(
-      num_or(v, "duration_s", cfg.duration.to_sec(), path));
-  cfg.warmup = common::SimTime::from_sec(
-      num_or(v, "warmup_s", cfg.warmup.to_sec(), path));
+  cfg.duration =
+      checked_seconds(num_or(v, "duration_s", cfg.duration.to_sec(), path),
+                      path + ".duration_s");
+  cfg.warmup =
+      checked_seconds(num_or(v, "warmup_s", cfg.warmup.to_sec(), path),
+                      path + ".warmup_s");
   cfg.seed = seed_or(v, "seed", cfg.seed, path);
   cfg.jitter_phases = bool_or(v, "jitter_phases", cfg.jitter_phases, path);
   cfg.shards = int_or(v, "shards", cfg.shards, path);
@@ -105,8 +107,10 @@ void parse_naive(const JsonValue& v, ScenarioConfig& cfg,
   check_keys(v, {"max_in_flight", "host_sync_gap_ms"}, path);
   cfg.naive.max_in_flight_per_task =
       int_or(v, "max_in_flight", cfg.naive.max_in_flight_per_task, path);
-  cfg.naive.host_sync_gap = common::SimTime::from_ms(
-      num_or(v, "host_sync_gap_ms", cfg.naive.host_sync_gap.to_ms(), path));
+  const double gap_ms =
+      num_or(v, "host_sync_gap_ms", cfg.naive.host_sync_gap.to_ms(), path);
+  checked_seconds(gap_ms * 1e-3, path + ".host_sync_gap_ms");
+  cfg.naive.host_sync_gap = common::SimTime::from_ms(gap_ms);
 }
 
 void parse_fleet(const JsonValue& v, ScenarioSpec& spec,
@@ -378,8 +382,13 @@ void validate(const ScenarioSpec& spec) {
     const std::string path = "spec.tasks[" + std::to_string(i) + "]";
     if (e.count < 1) bad(path + ".count", "must be >= 1");
     if (e.fps <= 0.0) bad(path + ".fps", "must be > 0");
+    checked_period(1.0 / e.fps, path + ".fps");
     if (e.num_stages < 1) bad(path + ".stages", "must be >= 1");
     if (e.deadline_ms < 0.0) bad(path + ".deadline_ms", "must be >= 0");
+    checked_seconds(e.deadline_ms * 1e-3, path + ".deadline_ms");
+    checked_seconds(e.phase_ms * 1e-3, path + ".phase_ms");
+    checked_seconds(e.min_separation_ms * 1e-3, path + ".min_separation_ms");
+    checked_seconds(e.max_separation_ms * 1e-3, path + ".max_separation_ms");
     check_network_known(e.network, path + ".network");
     if (e.arrival == rt::ArrivalModel::kSporadic) {
       if (e.min_separation_ms < 0.0 || e.max_separation_ms < 0.0) {
@@ -426,6 +435,8 @@ void validate(const ScenarioSpec& spec) {
     if (g.min_fps <= 0.0 || g.max_fps < g.min_fps) {
       bad(path, "needs 0 < min_fps <= max_fps");
     }
+    checked_period(1.0 / g.min_fps, path + ".min_fps");
+    checked_period(1.0 / g.max_fps, path + ".max_fps");
     for (const auto& n : g.networks) {
       check_network_known(n, path + ".networks");
     }

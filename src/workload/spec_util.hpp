@@ -5,11 +5,14 @@
 // Internal detail namespace — not part of the workload API surface.
 #pragma once
 
+#include <cmath>
+#include <cstdio>
 #include <initializer_list>
 #include <limits>
 #include <string>
 
 #include "common/json.hpp"
+#include "common/time.hpp"
 #include "workload/spec_error.hpp"
 
 namespace sgprs::workload::specdet {
@@ -92,6 +95,38 @@ inline std::string str_or(const common::JsonValue& obj, const char* key,
   const common::JsonValue* v = obj.find(key);
   if (!v) return def;
   return get_field(key, path, [&] { return v->as_string(); });
+}
+
+/// Largest |duration| a spec may state (~31.7 years): int64 nanoseconds
+/// with headroom for sums such as now + delay.
+inline constexpr double kMaxSpecSeconds = 1e9;
+
+/// The checked seconds -> SimTime conversion of every spec reader (fields
+/// in ms pass ms * 1e-3). A value that is not finite or exceeds
+/// kMaxSpecSeconds, where SimTime::from_sec's double -> int64 cast would
+/// overflow, is a SpecError at `path`; in range the result is exactly
+/// SimTime::from_sec(seconds). Sign rules stay with the caller; `what`
+/// names the quantity in the message.
+inline common::SimTime checked_seconds(double seconds, const std::string& path,
+                                       const char* what = "time") {
+  if (!(std::fabs(seconds) <= kMaxSpecSeconds)) {  // NaN fails too
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), "%s %g s is out of range (limit 1e9 s)",
+                  what, seconds);
+    bad(path, buf);
+  }
+  return common::SimTime::from_sec(seconds);
+}
+
+/// checked_seconds for a period that must advance time: a positive value
+/// that rounds to 0 ns (e.g. 1 / a huge fps) is a SpecError too.
+inline common::SimTime checked_period(double seconds,
+                                      const std::string& path) {
+  const common::SimTime t = checked_seconds(seconds, path, "period");
+  if (t <= common::SimTime::zero()) {
+    bad(path, "period rounds to 0 ns (must be >= 1 ns)");
+  }
+  return t;
 }
 
 inline std::uint64_t seed_or(const common::JsonValue& obj, const char* key,

@@ -96,6 +96,31 @@ TEST(Json, RejectsMalformedDocuments) {
   EXPECT_THROW(parse_json("{'single': 1}"), JsonError);
 }
 
+TEST(Json, NestingDepthIsCapped) {
+  auto nested = [](int depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_NO_THROW(parse_json(nested(kMaxJsonDepth)));
+  // Far past the cap (a recursive parser would overflow the stack): a
+  // positioned error at the first bracket beyond the limit.
+  try {
+    parse_json(std::string(200000, '['));
+    FAIL() << "expected JsonError";
+  } catch (const JsonError& e) {
+    EXPECT_EQ(e.line(), 1);
+    EXPECT_EQ(e.column(), kMaxJsonDepth + 1);
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
+              std::string::npos);
+  }
+  try {
+    parse_json("{\"a\":\n" + nested(kMaxJsonDepth) + "}");
+    FAIL() << "expected JsonError";
+  } catch (const JsonError& e) {
+    EXPECT_EQ(e.line(), 2);
+    EXPECT_EQ(e.column(), kMaxJsonDepth);
+  }
+}
+
 TEST(Json, RejectsDuplicateKeys) {
   EXPECT_THROW(parse_json(R"({"a": 1, "a": 2})"), JsonError);
 }

@@ -96,6 +96,32 @@ TEST(TimelineValidateTest, CatchesSemanticErrors) {
   }
 }
 
+TEST(TimelineValidateTest, OutOfRangeTimesNameTheirField) {
+  auto path_of = [](const std::string& json) -> std::string {
+    try {
+      validate_timeline(parse_tl(json), "spec.timeline");
+    } catch (const workload::SpecError& e) {
+      return e.path();
+    }
+    return "(no error)";
+  };
+  EXPECT_EQ(path_of(R"({ "templates": [ { "name": "a", "fps": 1e-300 } ] })"),
+            "spec.timeline.templates[0].fps");
+  EXPECT_EQ(path_of(R"({ "templates": [ { "name": "a", "phase_ms": 1e300 } ],
+                         "events": [ { "at_s": 1, "admit": "a" } ] })"),
+            "spec.timeline.templates[0].phase_ms");
+  EXPECT_EQ(path_of(R"({ "templates": [ { "name": "a" } ],
+                         "events": [ { "at_s": 1e300, "admit": "a" } ] })"),
+            "spec.timeline.events[0].at_s");
+  EXPECT_EQ(path_of(R"({ "templates": [ { "name": "a" } ],
+                         "events": [ { "every_s": 1e-12, "admit": "a" } ] })"),
+            "spec.timeline.events[0].every_s");
+  EXPECT_EQ(path_of(R"({ "templates": [ { "name": "a" } ],
+                         "arrivals": [ { "template": "a",
+                                         "rate_per_s": 1e-300 } ] })"),
+            "spec.timeline.arrivals[0].rate_per_s");
+}
+
 TEST(FleetPolicyParseTest, FullSectionAndDefaults) {
   const auto spec = parse_fp(R"({
     "series_window_ms": 50,
@@ -134,6 +160,14 @@ TEST(FleetPolicyParseTest, RejectsBadValues) {
            "max_devices": 2 } })");
   EXPECT_THROW(validate_fleet_policy(bad_range, "spec.fleet_policy"),
                workload::SpecError);
+  auto bad_tick = parse_fp(
+      R"({ "autoscaler": { "policy": "utilization", "tick_ms": 1e-9 } })");
+  try {
+    validate_fleet_policy(bad_tick, "spec.fleet_policy");
+    FAIL() << "expected SpecError";
+  } catch (const workload::SpecError& e) {
+    EXPECT_EQ(e.path(), "spec.fleet_policy.autoscaler.tick_ms");
+  }
   auto bad_scale = parse_fp(R"({ "overload": { "fps_scale": 1.5 } })");
   EXPECT_THROW(validate_fleet_policy(bad_scale, "spec.fleet_policy"),
                workload::SpecError);

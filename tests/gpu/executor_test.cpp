@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -272,6 +273,165 @@ TEST_F(ExecutorTest, TraceSinkSeesStartAndEnd) {
   EXPECT_EQ(rec.events[3].first, 'e');
   EXPECT_EQ(rec.events[1].second, rec.events[2].second)
       << "next kernel starts when the previous ends";
+}
+
+// --- Node slab: queued and running kernels share one recycled slab ---
+
+/// Queued plus running kernels across `streams`.
+std::size_t in_flight(const Executor& exec,
+                      const std::vector<StreamId>& streams) {
+  std::size_t n = 0;
+  for (const auto s : streams) {
+    n += exec.stream_queue_length(s) + (exec.stream_busy(s) ? 1 : 0);
+  }
+  return n;
+}
+
+TEST_F(ExecutorTest, SlabHighWaterIsPeakInFlightAndStaysFlat) {
+  // Three streams re-enqueue fixed-size batches from their completion
+  // callbacks for many rounds: the slab grows to the peak number of
+  // queued + running kernels once, then only recycles.
+  struct Resubmitter {
+    Executor& exec;
+    std::vector<StreamId> streams;
+    std::vector<int> batch = {3, 2, 4};
+    std::vector<int> rounds = std::vector<int>(3, 0);
+    std::size_t peak = 0;
+    std::size_t slab_after_first_round = 0;
+    int max_rounds = 400;
+
+    void submit(std::size_t i) {
+      for (int k = 0; k < batch[i]; ++k) {
+        CompletionFn done;
+        if (k + 1 == batch[i]) {
+          done = [this, i](SimTime) { on_batch_done(i); };
+        }
+        exec.enqueue(streams[i], kernel(OpClass::kConv, 0.01 * (i + k + 1)),
+                     std::move(done));
+        peak = std::max(peak, in_flight(exec, streams));
+        EXPECT_EQ(exec.live_nodes(), in_flight(exec, streams));
+      }
+    }
+    void on_batch_done(std::size_t i) {
+      if (++rounds[i] == 1) {
+        slab_after_first_round =
+            std::max(slab_after_first_round, exec.slab_size());
+      }
+      if (rounds[i] < max_rounds) submit(i);
+    }
+  };
+  const auto c1 = exec_.create_context(34);
+  const auto c2 = exec_.create_context(34);
+  Resubmitter r{exec_,
+                {exec_.create_stream(c1, StreamPriority::kHigh),
+                 exec_.create_stream(c1, StreamPriority::kLow),
+                 exec_.create_stream(c2, StreamPriority::kLow)}};
+  for (std::size_t i = 0; i < r.streams.size(); ++i) r.submit(i);
+  engine_.run();
+  for (int n : r.rounds) EXPECT_EQ(n, r.max_rounds);
+  EXPECT_EQ(r.peak, 9u);
+  EXPECT_EQ(exec_.slab_size(), r.peak);
+  EXPECT_EQ(r.slab_after_first_round, r.peak);
+  EXPECT_EQ(exec_.live_nodes(), 0u);
+}
+
+TEST_F(ExecutorTest, PurgeMidBatchReturnsEveryNodeAndReuseKeepsFifo) {
+  struct Starts : TraceSink {
+    std::vector<std::uint64_t> tags;
+    void on_kernel_start(SimTime, int, int, const KernelDesc& k) override {
+      tags.push_back(k.tag);
+    }
+    void on_kernel_end(SimTime, int, int, const KernelDesc&) override {}
+  } starts;
+  exec_.set_trace_sink(&starts);
+  const auto ctx = exec_.create_context(68);
+  const auto s1 = exec_.create_stream(ctx, StreamPriority::kHigh);
+  const auto s2 = exec_.create_stream(ctx, StreamPriority::kLow);
+  bool purged_fired = false;
+  std::vector<KernelDesc> b1(5, kernel(OpClass::kConv, 1.0));
+  std::vector<KernelDesc> b2(3, kernel(OpClass::kConv, 1.0));
+  exec_.enqueue_batch(s1, std::move(b1), [&](SimTime) { purged_fired = true; });
+  exec_.enqueue_batch(s2, std::move(b2), [&](SimTime) { purged_fired = true; });
+  EXPECT_EQ(exec_.slab_size(), 8u);
+  engine_.run_until(SimTime::from_ms(100));  // mid-batch: some done
+  ASSERT_LT(exec_.live_nodes(), 8u);
+  ASSERT_GT(exec_.live_nodes(), 2u);
+
+  exec_.purge_all();
+  EXPECT_EQ(exec_.live_nodes(), 0u);
+  EXPECT_EQ(exec_.slab_size(), 8u);
+  EXPECT_FALSE(exec_.stream_busy(s1));
+  EXPECT_FALSE(exec_.stream_busy(s2));
+  EXPECT_EQ(exec_.stream_queue_length(s1), 0u);
+  EXPECT_EQ(exec_.running_kernel_count(), 0);
+  EXPECT_TRUE(exec_.running_remaining(s1).is_max());
+
+  // The recovered device reuses the purged nodes; FIFO order holds.
+  starts.tags.clear();
+  SimTime done;
+  for (std::uint64_t tag = 1; tag <= 6; ++tag) {
+    KernelDesc k = kernel(OpClass::kConv, 32.0);  // 1 s at 68 SMs
+    k.tag = tag;
+    exec_.enqueue(s1, k, tag == 6 ? CompletionFn([&](SimTime t) { done = t; })
+                                  : CompletionFn{});
+  }
+  EXPECT_EQ(exec_.slab_size(), 8u);
+  EXPECT_EQ(exec_.stream_queue_length(s1), 5u);
+  EXPECT_NEAR(exec_.running_remaining(s1).to_sec(), 1.0, 1e-6);
+  engine_.run();
+  EXPECT_FALSE(purged_fired);
+  EXPECT_EQ(starts.tags, (std::vector<std::uint64_t>{1, 2, 3, 4, 5, 6}));
+  EXPECT_NEAR((done - SimTime::from_ms(100)).to_sec(), 6.0, 1e-6);
+  EXPECT_EQ(exec_.slab_size(), 8u);
+  EXPECT_EQ(exec_.live_nodes(), 0u);
+  exec_.set_trace_sink(nullptr);
+}
+
+TEST_F(ExecutorTest, SameInstantCallbacksSeeConsistentState) {
+  // Two identical kernels on two streams finish at the same instant. The
+  // first callback enqueues onto its own stream and onto the other one;
+  // both callbacks must see every finished kernel retired and every newly
+  // enqueued kernel already running.
+  struct State {
+    ContextId ctx;
+    StreamId s1, s2;
+    SimTime first_end, a_done, b_done;
+    bool second_checked = false;
+  } st;
+  st.ctx = exec_.create_context(68);
+  st.s1 = exec_.create_stream(st.ctx, StreamPriority::kLow);
+  st.s2 = exec_.create_stream(st.ctx, StreamPriority::kLow);
+  Executor& ex = exec_;
+  exec_.enqueue(st.s1, kernel(OpClass::kConv, 1.0), [&ex, &st](SimTime t) {
+    st.first_end = t;
+    EXPECT_EQ(ex.running_kernel_count(), 0);
+    EXPECT_FALSE(ex.stream_busy(st.s1));
+    EXPECT_FALSE(ex.stream_busy(st.s2));
+    EXPECT_EQ(ex.live_nodes(), 1u);  // s2's retired node, not yet fired
+    ex.enqueue(st.s1, kernel(OpClass::kConv, 1.0),
+               [&st](SimTime t2) { st.a_done = t2; });
+    ex.enqueue(st.s2, kernel(OpClass::kConv, 1.0),
+               [&st](SimTime t2) { st.b_done = t2; });
+    ex.enqueue(st.s2, kernel(OpClass::kConv, 1.0), {});
+    EXPECT_EQ(ex.running_kernel_count(), 2);
+    EXPECT_EQ(ex.stream_queue_length(st.s1), 0u);
+    EXPECT_EQ(ex.stream_queue_length(st.s2), 1u);
+  });
+  exec_.enqueue(st.s2, kernel(OpClass::kConv, 1.0), [&ex, &st](SimTime t) {
+    EXPECT_EQ(t, st.first_end);
+    EXPECT_TRUE(ex.stream_busy(st.s2));
+    EXPECT_EQ(ex.stream_queue_length(st.s2), 1u);
+    EXPECT_EQ(ex.context_running_count(st.ctx), 2);
+    st.second_checked = true;
+  });
+  engine_.run();
+  EXPECT_TRUE(st.second_checked);
+  // Round two shares the context 34/34 from the tie instant onward.
+  const double r34 = SpeedupModel::rtx2080ti().speedup(OpClass::kConv, 34.0);
+  EXPECT_NEAR(st.first_end.to_sec(), 1.0 / r34, 1e-6);
+  EXPECT_NEAR(st.a_done.to_sec(), 2.0 / r34, 1e-6);
+  EXPECT_EQ(st.a_done, st.b_done);
+  EXPECT_EQ(exec_.slab_size(), 4u);
 }
 
 // Parameterized: N equal kernels in one context finish simultaneously and

@@ -17,6 +17,16 @@ SharingParams no_interference() {
   return p;
 }
 
+/// compute_shares into fresh buffers; returns the grants.
+std::vector<ShareGrant> grants_for(const SpeedupModel& model, int total_sms,
+                                   const std::vector<int>& context_sms,
+                                   const std::vector<ShareRequest>& reqs,
+                                   const SharingParams& params) {
+  ShareBuffers out;
+  compute_shares(model, total_sms, context_sms, reqs, params, out);
+  return out.grants;
+}
+
 class SharingTest : public ::testing::Test {
  protected:
   SpeedupModel model_ = SpeedupModel::rtx2080ti();
@@ -25,7 +35,7 @@ class SharingTest : public ::testing::Test {
 
 TEST_F(SharingTest, LoneKernelGetsFullContext) {
   const auto grants =
-      compute_shares(model_, kTotalSms, {34},
+      grants_for(model_, kTotalSms, {34},
                      {{0, 1.0, OpClass::kConv}}, no_interference());
   ASSERT_EQ(grants.size(), 1u);
   EXPECT_DOUBLE_EQ(grants[0].sms, 34.0);
@@ -33,7 +43,7 @@ TEST_F(SharingTest, LoneKernelGetsFullContext) {
 }
 
 TEST_F(SharingTest, EqualWeightsSplitEvenly) {
-  const auto grants = compute_shares(
+  const auto grants = grants_for(
       model_, kTotalSms, {34},
       {{0, 1.0, OpClass::kConv}, {0, 1.0, OpClass::kConv}},
       no_interference());
@@ -45,7 +55,7 @@ TEST_F(SharingTest, PriorityWeightSkewsShares) {
   SharingParams p = no_interference();
   p.high_priority_weight = 3.0;
   p.low_priority_weight = 1.0;
-  const auto grants = compute_shares(
+  const auto grants = grants_for(
       model_, kTotalSms, {40},
       {{0, 3.0, OpClass::kConv}, {0, 1.0, OpClass::kConv}}, p);
   EXPECT_DOUBLE_EQ(grants[0].sms, 30.0);
@@ -53,7 +63,7 @@ TEST_F(SharingTest, PriorityWeightSkewsShares) {
 }
 
 TEST_F(SharingTest, IndependentContextsDoNotShare) {
-  const auto grants = compute_shares(
+  const auto grants = grants_for(
       model_, kTotalSms, {34, 34},
       {{0, 1.0, OpClass::kConv}, {1, 1.0, OpClass::kReLU}},
       no_interference());
@@ -65,7 +75,7 @@ TEST_F(SharingTest, IndependentContextsDoNotShare) {
 
 TEST_F(SharingTest, OversubscriptionScalesRatesProportionally) {
   // Two 68-SM contexts both active: demand 136 vs 68 physical -> rate halves.
-  const auto grants = compute_shares(
+  const auto grants = grants_for(
       model_, kTotalSms, {68, 68},
       {{0, 1.0, OpClass::kConv}, {1, 1.0, OpClass::kConv}},
       no_interference());
@@ -76,7 +86,7 @@ TEST_F(SharingTest, OversubscriptionScalesRatesProportionally) {
 TEST_F(SharingTest, IdleContextDoesNotCountTowardDemand) {
   // Second context exists but has no running kernel: no over-subscription.
   const auto grants =
-      compute_shares(model_, kTotalSms, {68, 68},
+      grants_for(model_, kTotalSms, {68, 68},
                      {{0, 1.0, OpClass::kConv}}, no_interference());
   EXPECT_NEAR(grants[0].rate, model_.speedup(OpClass::kConv, 68.0), 1e-12);
 }
@@ -84,9 +94,9 @@ TEST_F(SharingTest, IdleContextDoesNotCountTowardDemand) {
 TEST_F(SharingTest, InterferenceGammaReducesRates) {
   SharingParams p = no_interference();
   p.interference_gamma = 0.1;
-  const auto one = compute_shares(model_, kTotalSms, {34, 34},
+  const auto one = grants_for(model_, kTotalSms, {34, 34},
                                   {{0, 1.0, OpClass::kConv}}, p);
-  const auto two = compute_shares(
+  const auto two = grants_for(
       model_, kTotalSms, {34, 34},
       {{0, 1.0, OpClass::kConv}, {1, 1.0, OpClass::kConv}}, p);
   // With a second client the first kernel's rate drops by 1/(1+gamma).
@@ -97,13 +107,13 @@ TEST_F(SharingTest, ThrashPenaltyOnlyWhenOversubscribedAndMultiContext) {
   SharingParams p = no_interference();
   p.oversub_thrash_kappa = 0.5;
   // Demand 68 == total: no thrash even with kappa set.
-  const auto ok = compute_shares(
+  const auto ok = grants_for(
       model_, kTotalSms, {34, 34},
       {{0, 1.0, OpClass::kConv}, {1, 1.0, OpClass::kConv}}, p);
   EXPECT_NEAR(ok[0].rate, model_.speedup(OpClass::kConv, 34.0), 1e-12);
   // Demand 102 (1.5x): thrash divisor 1 + 0.5 * 1 * 0.5 = 1.25 on top of
   // the proportional 68/102 contention.
-  const auto thrash = compute_shares(
+  const auto thrash = grants_for(
       model_, kTotalSms, {51, 51},
       {{0, 1.0, OpClass::kConv}, {1, 1.0, OpClass::kConv}}, p);
   const double expected =
@@ -116,24 +126,24 @@ TEST_F(SharingTest, SingleOversubscribedContextHasNoThrash) {
   // (only proportional contention applies — and demand <= total here).
   SharingParams p = no_interference();
   p.oversub_thrash_kappa = 0.5;
-  const auto grants = compute_shares(model_, kTotalSms, {68, 68},
+  const auto grants = grants_for(model_, kTotalSms, {68, 68},
                                      {{0, 1.0, OpClass::kConv}}, p);
   EXPECT_NEAR(grants[0].rate, model_.speedup(OpClass::kConv, 68.0), 1e-12);
 }
 
 TEST_F(SharingTest, EmptyRequestListReturnsEmpty) {
   EXPECT_TRUE(
-      compute_shares(model_, kTotalSms, {34}, {}, no_interference()).empty());
+      grants_for(model_, kTotalSms, {34}, {}, no_interference()).empty());
 }
 
 TEST_F(SharingTest, InvalidContextIndexThrows) {
-  EXPECT_THROW(compute_shares(model_, kTotalSms, {34},
+  EXPECT_THROW(grants_for(model_, kTotalSms, {34},
                               {{1, 1.0, OpClass::kConv}}, no_interference()),
                common::CheckError);
 }
 
 TEST_F(SharingTest, NonPositiveWeightThrows) {
-  EXPECT_THROW(compute_shares(model_, kTotalSms, {34},
+  EXPECT_THROW(grants_for(model_, kTotalSms, {34},
                               {{0, 0.0, OpClass::kConv}}, no_interference()),
                common::CheckError);
 }
@@ -152,7 +162,7 @@ TEST_P(SharingConservation, GrantsNeverExceedContextAllocation) {
                     i % 2 ? OpClass::kConv : OpClass::kReLU});
   }
   const auto grants =
-      compute_shares(model, 68, {ctx_sms}, reqs, SharingParams{});
+      grants_for(model, 68, {ctx_sms}, reqs, SharingParams{});
   double sum = 0.0;
   for (const auto& g : grants) {
     EXPECT_GT(g.sms, 0.0);
@@ -171,7 +181,7 @@ TEST_F(SharingTest, SubProportionalContentionCreditsLatencyHiding) {
   SharingParams p = no_interference();
   p.contention_exponent = 0.5;
   // Demand 136 vs 68: proportional would halve; beta=0.5 gives 1/sqrt(2).
-  const auto grants = compute_shares(
+  const auto grants = grants_for(
       model_, kTotalSms, {68, 68},
       {{0, 1.0, OpClass::kConv}, {1, 1.0, OpClass::kConv}}, p);
   const double expected =
@@ -187,19 +197,38 @@ TEST_F(SharingTest, DefaultExponentMakesOversubBeatStrictSlicing) {
   def.contention_exponent = SharingParams{}.contention_exponent;
   const std::vector<ShareRequest> reqs = {{0, 1.0, OpClass::kConv},
                                           {1, 1.0, OpClass::kConv}};
-  const auto a = compute_shares(model_, kTotalSms, {68, 68}, reqs, strict);
-  const auto b = compute_shares(model_, kTotalSms, {68, 68}, reqs, def);
+  const auto a = grants_for(model_, kTotalSms, {68, 68}, reqs, strict);
+  const auto b = grants_for(model_, kTotalSms, {68, 68}, reqs, def);
   EXPECT_GT(b[0].rate, a[0].rate);
 }
 
 TEST_F(SharingTest, InvalidExponentThrows) {
   SharingParams p = no_interference();
   p.contention_exponent = 0.0;
-  EXPECT_THROW(compute_shares(model_, kTotalSms, {68, 68},
+  EXPECT_THROW(grants_for(model_, kTotalSms, {68, 68},
                               {{0, 1.0, OpClass::kConv},
                                {1, 1.0, OpClass::kConv}},
                               p),
                common::CheckError);
+}
+
+TEST_F(SharingTest, ReusedBuffersMatchFreshOnes) {
+  // The executor reuses one ShareBuffers across every rate recompute: a
+  // call after a larger one must overwrite, not accumulate into, the
+  // stale grants and per-context weights.
+  ShareBuffers reused;
+  const std::vector<ShareRequest> big = {{0, 2.0, OpClass::kConv},
+                                         {1, 1.0, OpClass::kReLU},
+                                         {1, 1.0, OpClass::kConv}};
+  const std::vector<ShareRequest> small = {{1, 1.0, OpClass::kConv}};
+  compute_shares(model_, kTotalSms, {40, 40}, big, SharingParams{}, reused);
+  compute_shares(model_, kTotalSms, {40, 40}, small, SharingParams{}, reused);
+  const auto fresh =
+      grants_for(model_, kTotalSms, {40, 40}, small, SharingParams{});
+  ASSERT_EQ(reused.grants.size(), 1u);
+  EXPECT_EQ(reused.grants[0].sms, fresh[0].sms);
+  EXPECT_EQ(reused.grants[0].rate, fresh[0].rate);
+  EXPECT_DOUBLE_EQ(reused.grants[0].sms, 40.0);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string_view>
 
 #include "common/check.hpp"
 
@@ -11,7 +12,9 @@ namespace {
 
 using common::SimTime;
 
-gpu::KernelDesc kernel(const std::string& label, std::uint64_t tag = 0) {
+// Labels view their text (in the simulator, a Network-owned layer name),
+// so the helper takes a view of a string literal, never a temporary.
+gpu::KernelDesc kernel(std::string_view label, std::uint64_t tag = 0) {
   gpu::KernelDesc k;
   k.op = gpu::OpClass::kConv;
   k.label = label;

@@ -249,6 +249,40 @@ TEST(SpecValidate, BaseConfigErrorsSurfaceAsSpecErrors) {
   EXPECT_THROW(validate(spec), SpecError);
 }
 
+/// The field path of the SpecError that parsing + validating `json` throws.
+std::string error_path(const std::string& json) {
+  try {
+    validate(parse(json));
+  } catch (const SpecError& e) {
+    return e.path();
+  }
+  return "(no error)";
+}
+
+TEST(SpecValidate, OutOfRangeDurationsNameTheirField) {
+  // Beyond int64 nanoseconds: the raw double -> int64 cast would overflow
+  // (it used to surface as "duration must be > 0" or an internal check).
+  EXPECT_EQ(error_path(R"({"sim": {"duration_s": 1e300}, "tasks": [{}]})"),
+            "spec.sim.duration_s");
+  EXPECT_EQ(error_path(R"({"sim": {"warmup_s": -1e300}, "tasks": [{}]})"),
+            "spec.sim.warmup_s");
+  EXPECT_EQ(error_path(R"({"tasks": [{"fps": 1e-300}]})"), "spec.tasks[0].fps");
+  // The other way round: a period that rounds to 0 ns.
+  EXPECT_EQ(error_path(R"({"tasks": [{"fps": 1e300}]})"), "spec.tasks[0].fps");
+  EXPECT_EQ(error_path(R"({"tasks": [{}, {"phase_ms": 1e300}]})"),
+            "spec.tasks[1].phase_ms");
+  EXPECT_EQ(error_path(R"({"tasks": [{"deadline_ms": 1e300}]})"),
+            "spec.tasks[0].deadline_ms");
+  EXPECT_EQ(error_path(R"({"naive": {"host_sync_gap_ms": 1e300},
+                           "tasks": [{}]})"),
+            "spec.naive.host_sync_gap_ms");
+  EXPECT_EQ(error_path(R"({"generator": {"min_fps": 1e-300}})"),
+            "spec.generator.min_fps");
+  // In range, the checked conversion is exactly SimTime::from_sec.
+  const auto ok = parse(R"({"sim": {"duration_s": 2.5e-9}, "tasks": [{}]})");
+  EXPECT_EQ(ok.base.duration, SimTime::from_sec(2.5e-9));
+}
+
 TEST(SpecLower, SumsReplicaCounts) {
   const auto spec = parse(kTinyMixed);
   EXPECT_FALSE(is_simple_spec(spec)) << "two entries";
@@ -451,6 +485,17 @@ TEST(SpecLoad, MalformedFileErrors) {
   EXPECT_THROW(load_scenario_spec(path), SpecError);
   EXPECT_THROW(load_scenario_spec("/nonexistent/nope.json"),
                common::JsonError);
+  {
+    std::ofstream out(path);
+    out << "{ \"tasks\":\n" << std::string(200000, '[');
+  }
+  try {
+    load_scenario_spec(path);
+    FAIL() << "expected JsonError";
+  } catch (const common::JsonError& e) {
+    EXPECT_EQ(e.line(), 2);
+    EXPECT_EQ(e.column(), common::kMaxJsonDepth);
+  }
 }
 
 }  // namespace
