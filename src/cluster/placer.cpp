@@ -117,45 +117,52 @@ bool Placer::order_ascending() const {
   return policy_ != PlacementPolicy::kWorstFit;
 }
 
-std::vector<int> Placer::candidate_order(const rt::Task& task) const {
+template <typename Accept>
+int Placer::first_candidate(const rt::Task& task, Accept&& accept) {
   const int n = num_devices();
-  std::vector<int> order(n);
-  std::iota(order.begin(), order.end(), 0);
-
-  switch (policy_) {
-    case PlacementPolicy::kRoundRobin:
-      for (int i = 0; i < n; ++i) order[i] = (rr_next_ + i) % n;
-      break;
-    case PlacementPolicy::kHashAffinity: {
-      const int home = static_cast<int>(fnv1a(task.name) % n);
-      for (int i = 0; i < n; ++i) order[i] = (home + i) % n;
-      break;
+  int found = -1;
+  if (policy_ == PlacementPolicy::kRoundRobin ||
+      policy_ == PlacementPolicy::kHashAffinity) {
+    // Walk (start + i) % n lazily: most placements stop at the first probe,
+    // so no n-long order is built.
+    const int start = policy_ == PlacementPolicy::kRoundRobin
+                          ? rr_next_ % n
+                          : static_cast<int>(fnv1a(task.name) % n);
+    for (int i = 0, d = start; i < n; ++i, d = d + 1 == n ? 0 : d + 1) {
+      if (accept(d)) {
+        found = d;
+        break;
+      }
     }
-    case PlacementPolicy::kLeastLoaded:
-    case PlacementPolicy::kBinPackUtilization:
-    case PlacementPolicy::kBinPackMemory:
-    case PlacementPolicy::kWorstFit: {
-      std::vector<double> key(n);
-      for (int i = 0; i < n; ++i) key[i] = order_key(i);
-      const bool asc = order_ascending();
-      std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-        return asc ? key[a] < key[b] : key[a] > key[b];
-      });
-      break;
+  } else {
+    std::vector<int> order(n);
+    std::iota(order.begin(), order.end(), 0);
+    std::vector<double> key(n);
+    for (int i = 0; i < n; ++i) key[i] = order_key(i);
+    const bool asc = order_ascending();
+    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+      return asc ? key[a] < key[b] : key[a] > key[b];
+    });
+    for (const int d : order) {
+      if (accept(d)) {
+        found = d;
+        break;
+      }
     }
   }
-  return order;
+  if (found >= 0 && policy_ == PlacementPolicy::kRoundRobin) {
+    rr_next_ = (found + 1) % n;
+  }
+  return found;
 }
 
 std::optional<int> Placer::force_place(const rt::Task& task) {
-  for (int d : candidate_order(task)) {
-    if (!devices_[d].active) continue;
+  const int placed = first_candidate(task, [&](int d) {
+    if (!devices_[d].active) return false;
     devices_[d].controller.force_admit(task);
-    if (policy_ == PlacementPolicy::kRoundRobin) {
-      rr_next_ = (d + 1) % num_devices();
-    }
-    return d;
-  }
+    return true;
+  });
+  if (placed >= 0) return placed;
   ++rejected_;
   return std::nullopt;
 }
@@ -166,23 +173,18 @@ std::optional<int> Placer::place(const rt::Task& task) {
 
 PlaceResult Placer::place_ex(const rt::Task& task) {
   bool saw_oom = false;
-  for (int d : candidate_order(task)) {
-    if (!devices_[d].active) continue;
+  const int placed = first_candidate(task, [&](int d) {
+    if (!devices_[d].active) return false;
     auto& controller = devices_[d].controller;
     if (margin_ <= 0.0) {
       controller.force_admit(task);  // admission control disabled
-    } else {
-      const rt::AdmitOutcome out = controller.try_admit_ex(task);
-      if (out != rt::AdmitOutcome::kAdmitted) {
-        saw_oom = saw_oom || out == rt::AdmitOutcome::kRejectedMemory;
-        continue;
-      }
+      return true;
     }
-    if (policy_ == PlacementPolicy::kRoundRobin) {
-      rr_next_ = (d + 1) % num_devices();
-    }
-    return PlaceResult{d, false};
-  }
+    const rt::AdmitOutcome out = controller.try_admit_ex(task);
+    saw_oom = saw_oom || out == rt::AdmitOutcome::kRejectedMemory;
+    return out == rt::AdmitOutcome::kAdmitted;
+  });
+  if (placed >= 0) return PlaceResult{placed, false};
   ++rejected_;
   if (saw_oom) ++oom_rejected_;
   return PlaceResult{std::nullopt, saw_oom};

@@ -121,8 +121,12 @@ class Placer {
   /// True when the policy sorts candidates by order_key ascending
   /// (best-fit family); false for worst-fit's descending order.
   bool order_ascending() const;
-  /// Device indices in the order this policy wants them tried.
-  std::vector<int> candidate_order(const rt::Task& task) const;
+  /// Calls `accept(d)` on device indices in the order this policy wants
+  /// them tried until it returns true; returns that device (and advances
+  /// round-robin past it), or -1. Round-robin and hash walk
+  /// (start + i) % n lazily; the load-sorted policies sort a full order.
+  template <typename Accept>
+  int first_candidate(const rt::Task& task, Accept&& accept);
 
   std::vector<DeviceState> devices_;
   PlacementPolicy policy_;

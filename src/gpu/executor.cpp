@@ -37,6 +37,11 @@ StreamId Executor::create_stream(ContextId ctx, StreamPriority priority) {
   s.ctx = ctx;
   s.priority = priority;
   streams_.push_back(s);
+  // Doubling keeps stream creation amortized O(1); the running list then
+  // never allocates.
+  if (running_.capacity() < streams_.size()) {
+    running_.reserve(2 * streams_.size());
+  }
   return static_cast<StreamId>(streams_.size() - 1);
 }
 
@@ -65,7 +70,18 @@ bool Executor::stream_busy(StreamId s) const {
   return streams_[s].running != kNil || streams_[s].queued > 0;
 }
 
-int Executor::running_kernel_count() const { return running_count_; }
+const KernelDesc* Executor::running_kernel(StreamId s) const {
+  SGPRS_CHECK(s >= 0 && s < stream_count());
+  const std::uint32_t n = streams_[s].running;
+  return n == kNil ? nullptr : &nodes_[n].desc;
+}
+
+ShareGrant Executor::running_grant(StreamId s) const {
+  SGPRS_CHECK(s >= 0 && s < stream_count());
+  const std::uint32_t n = streams_[s].running;
+  if (n == kNil) return ShareGrant{};
+  return ShareGrant{nodes_[n].granted_sms, nodes_[n].rate};
+}
 
 int Executor::context_running_count(ContextId c) const {
   SGPRS_CHECK(c >= 0 && c < context_count());
@@ -129,6 +145,7 @@ void Executor::enqueue(StreamId stream, const KernelDesc& kernel,
   if (s.running == kNil) {
     advance_progress();
     start_next(stream);
+    add_running(stream);
     reschedule();
   }
 }
@@ -157,11 +174,11 @@ void Executor::purge_all() {
     if (s.running != kNil) {
       release_node(s.running);
       s.running = kNil;
-      --running_count_;
       --contexts_[s.ctx].running_count;
     }
   }
-  SGPRS_CHECK(running_count_ == 0);
+  running_.clear();
+  set_changed_ = true;
   if (completion_event_ != sim::kInvalidEvent) {
     engine_.cancel(completion_event_);
     completion_event_ = sim::kInvalidEvent;
@@ -177,10 +194,9 @@ void Executor::advance_progress() {
   const SimTime now = engine_.now();
   const double elapsed = (now - last_update_).to_sec();
   last_update_ = now;
-  if (elapsed <= 0.0 || running_count_ == 0) return;
-  for (const auto& s : streams_) {
-    if (s.running == kNil) continue;
-    Node& r = nodes_[s.running];
+  if (elapsed <= 0.0) return;
+  for (const StreamId sid : running_) {
+    Node& r = nodes_[streams_[sid].running];
     double dt = elapsed;
     if (r.rem_overhead > 0.0) {
       const double t = std::min(dt, r.rem_overhead);
@@ -211,37 +227,58 @@ void Executor::start_next(StreamId sid) {
   r.rate = 0.0;
   r.granted_sms = 0.0;
   s.running = n;
-  ++running_count_;
   ++contexts_[s.ctx].running_count;
   if (trace_) trace_->on_kernel_start(engine_.now(), s.ctx, sid, r.desc);
 }
 
-void Executor::reschedule() {
-  if (defer_depth_ > 0) return;
-  // Collect running kernels into share requests.
+void Executor::add_running(StreamId sid) {
+  running_.insert(std::lower_bound(running_.begin(), running_.end(), sid),
+                  sid);
+  set_changed_ = true;
+}
+
+void Executor::recompute_set_shares() {
+  ++set_recomputes_;
+  set_changed_ = false;
   reqs_.clear();
-  req_nodes_.clear();
-  for (const auto& s : streams_) {
-    if (s.running == kNil) continue;
+  for (const StreamId sid : running_) {
+    const Stream& s = streams_[sid];
     reqs_.push_back(ShareRequest{s.ctx, priority_weight(s.priority),
                                  nodes_[s.running].desc.op});
-    req_nodes_.push_back(s.running);
   }
+  compute_set_shares(device_.total_sms, ctx_sms_, reqs_, sharing_, shares_);
+  rate_factor_ = shares_.rate_factor;
+  for (std::size_t i = 0; i < running_.size(); ++i) {
+    Stream& s = streams_[running_[i]];
+    s.share = shares_.grants[i].sms;
+    Node& r = nodes_[s.running];
+    r.rate = kernel_rate(speedup_, r.desc.op, s.share, rate_factor_);
+    r.granted_sms = s.share;
+  }
+}
 
+void Executor::reschedule() {
+  if (defer_depth_ > 0) return;
   if (completion_event_ != sim::kInvalidEvent) {
     engine_.cancel(completion_event_);
     completion_event_ = sim::kInvalidEvent;
   }
-  if (reqs_.empty()) return;
+  if (running_.empty()) return;
 
-  compute_shares(speedup_, device_.total_sms, ctx_sms_, reqs_, sharing_,
-                 shares_);
+  ++reschedules_;
+  if (set_changed_) recompute_set_shares();
 
+  // With the running set unchanged, every share and rate_factor_ is what a
+  // full recompute would give, so only kernels started since the last
+  // reschedule (start_next leaves rate 0; real rates are > 0) need a rate.
   double min_finish = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < reqs_.size(); ++i) {
-    Node& r = nodes_[req_nodes_[i]];
-    r.rate = shares_.grants[i].rate;
-    r.granted_sms = shares_.grants[i].sms;
+  for (const StreamId sid : running_) {
+    const Stream& s = streams_[sid];
+    Node& r = nodes_[s.running];
+    if (r.rate == 0.0) {
+      r.rate = kernel_rate(speedup_, r.desc.op, s.share, rate_factor_);
+      r.granted_sms = s.share;
+    }
     SGPRS_CHECK(r.rate > 0.0);
     const double finish = r.rem_overhead + r.rem_work / r.rate;
     min_finish = std::min(min_finish, finish);
@@ -262,21 +299,29 @@ void Executor::on_completion_event() {
   // Retire every kernel that has finished (several can tie) and start
   // successors before firing callbacks, so that callbacks observe a
   // consistent executor state. Retired nodes leave their streams but stay
-  // allocated until their callback has been moved out.
+  // allocated until their callback has been moved out. A stream whose
+  // successor starts at once stays in running_ (the set is unchanged); one
+  // left idle drops out, keeping the list ascending.
   finished_.clear();
-  for (StreamId sid = 0; sid < stream_count(); ++sid) {
+  std::size_t kept = 0;
+  for (const StreamId sid : running_) {
     Stream& s = streams_[sid];
-    if (s.running == kNil) continue;
     const Node& r = nodes_[s.running];
-    if (r.rem_overhead > 0.0 || r.rem_work > kWorkEpsilon) continue;
-    work_done_ += r.rem_work;  // residue below epsilon
-    if (trace_) trace_->on_kernel_end(engine_.now(), s.ctx, sid, r.desc);
-    finished_.push_back(s.running);
-    s.running = kNil;
-    --running_count_;
-    --contexts_[s.ctx].running_count;
-    start_next(sid);
+    if (r.rem_overhead <= 0.0 && r.rem_work <= kWorkEpsilon) {
+      work_done_ += r.rem_work;  // residue below epsilon
+      if (trace_) trace_->on_kernel_end(engine_.now(), s.ctx, sid, r.desc);
+      finished_.push_back(s.running);
+      s.running = kNil;
+      --contexts_[s.ctx].running_count;
+      start_next(sid);
+    }
+    if (s.running != kNil) {
+      running_[kept++] = sid;
+    } else {
+      set_changed_ = true;
+    }
   }
+  running_.resize(kept);
   SGPRS_CHECK_MSG(!finished_.empty(),
                   "completion event fired with no finished kernel");
 

@@ -1,11 +1,14 @@
 // Processor-sharing GPU executor (discrete-event).
 //
 // Owns contexts, streams and running kernels; integrates with sim::Engine.
-// Whenever the set of running kernels changes, all progress rates are
+// Whenever the set of running kernels changes, progress rates are
 // recomputed from the sharing model and the single pending completion event
-// is rescheduled. Kernels have two phases: a launch-overhead phase that
-// progresses at unit rate regardless of SMs, then a work phase progressing
-// at rate speedup(op, granted_sms) * contention factors.
+// is rescheduled. The running-set part of the model (SM shares and the
+// contention factor) is recomputed only when a stream goes idle<->busy; a
+// successor starting on a busy stream only gets its own per-kernel rate.
+// Kernels have two phases: a launch-overhead phase that progresses at unit
+// rate regardless of SMs, then a work phase progressing at rate
+// speedup(op, granted_sms) * contention factors.
 //
 // Streams are FIFO: at most one kernel of a stream runs at a time; the rest
 // wait in the stream's queue. This mirrors CUDA stream semantics and is what
@@ -15,8 +18,9 @@
 // Storage is allocation-free once a run has warmed up: queued and running
 // kernels live in one executor-wide slab of recycled nodes, linked into
 // intrusive per-stream FIFO lists; completion callbacks are held inline;
-// the rate-recompute scratch is reused across calls. docs/ARCHITECTURE.md
-// § "Executor storage" is the design note.
+// the rate-recompute scratch is reused across calls; the busy streams are a
+// dense ascending id list reserved as streams are created.
+// docs/ARCHITECTURE.md § "Executor storage" is the design note.
 #pragma once
 
 #include <cstdint>
@@ -88,7 +92,14 @@ class Executor {
   std::size_t stream_queue_length(StreamId s) const;
   bool stream_busy(StreamId s) const;
   /// Number of kernels currently executing device-wide.
-  int running_kernel_count() const;
+  int running_kernel_count() const {
+    return static_cast<int>(running_.size());
+  }
+  /// The kernel running on `s`, or nullptr if the stream is idle.
+  const KernelDesc* running_kernel(StreamId s) const;
+  /// SMs granted to and progress rate of the kernel running on `s` as of
+  /// the last reschedule (zeros if the stream is idle).
+  ShareGrant running_grant(StreamId s) const;
   /// Number of kernels currently executing in a context.
   int context_running_count(ContextId c) const;
   /// Total 1-SM work completed so far (for utilization accounting).
@@ -103,6 +114,10 @@ class Executor {
   std::size_t slab_size() const { return nodes_.size(); }
   /// Kernel nodes currently holding a queued or running kernel.
   std::size_t live_nodes() const { return live_nodes_; }
+  /// Reschedules that had running kernels, and how many of them recomputed
+  /// the running-set shares (the rest only rated newly started kernels).
+  std::uint64_t reschedule_count() const { return reschedules_; }
+  std::uint64_t set_recompute_count() const { return set_recomputes_; }
 
   const DeviceSpec& device() const { return device_; }
   const SpeedupModel& speedup_model() const { return speedup_; }
@@ -134,6 +149,7 @@ class Executor {
     std::uint32_t head = kNil;     // queued FIFO behind `running`
     std::uint32_t tail = kNil;
     std::uint32_t queued = 0;
+    double share = 0.0;  // SMs granted at the last running-set recompute
   };
 
   struct Context {
@@ -143,9 +159,15 @@ class Executor {
 
   // Consumes elapsed time since the last update against stored rates.
   void advance_progress();
-  // Recomputes all shares/rates and schedules the next completion event.
+  // Rates newly started kernels (all kernels after a running-set change)
+  // and schedules the next completion event.
   void reschedule();
+  // Running-set part: every busy stream's share, rate_factor_, and the rate
+  // of every running kernel.
+  void recompute_set_shares();
   void start_next(StreamId s);
+  // Records that idle stream `s` just started a kernel.
+  void add_running(StreamId s);
   void on_completion_event();
   std::uint32_t acquire_node();
   void release_node(std::uint32_t n);
@@ -160,13 +182,15 @@ class Executor {
   std::vector<Context> contexts_;
   std::vector<int> ctx_sms_;  // contexts_[c].sm_limit, as compute_shares wants
   std::vector<Stream> streams_;
+  // Ids of the streams with a running kernel, ascending, so every sum over
+  // running kernels adds in stream order. Capacity >= streams_.size().
+  std::vector<StreamId> running_;
   std::vector<Node> nodes_;
   std::uint32_t free_head_ = kNil;
   std::size_t live_nodes_ = 0;
 
   // Scratch reused by every reschedule / completion event.
   std::vector<ShareRequest> reqs_;
-  std::vector<std::uint32_t> req_nodes_;
   ShareBuffers shares_;
   std::vector<std::uint32_t> finished_;
 
@@ -174,7 +198,12 @@ class Executor {
   sim::EventId completion_event_ = sim::kInvalidEvent;
   double work_done_ = 0.0;
   double busy_sm_seconds_ = 0.0;
-  int running_count_ = 0;
+  // Running-set factor of the last recompute, and whether running_ changed
+  // since.
+  double rate_factor_ = 0.0;
+  bool set_changed_ = false;
+  std::uint64_t reschedules_ = 0;
+  std::uint64_t set_recomputes_ = 0;
   // Re-entrancy guard: completion callbacks may enqueue; defer rescheduling
   // until the outermost mutation finishes.
   int defer_depth_ = 0;

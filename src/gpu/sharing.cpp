@@ -7,13 +7,14 @@
 
 namespace sgprs::gpu {
 
-void compute_shares(const SpeedupModel& model, int device_total_sms,
-                    const std::vector<int>& context_sms,
-                    const std::vector<ShareRequest>& reqs,
-                    const SharingParams& params, ShareBuffers& out) {
+void compute_set_shares(int device_total_sms,
+                        const std::vector<int>& context_sms,
+                        const std::vector<ShareRequest>& reqs,
+                        const SharingParams& params, ShareBuffers& out) {
   SGPRS_CHECK(device_total_sms > 0);
   auto& grants = out.grants;
   grants.assign(reqs.size(), ShareGrant{});
+  out.rate_factor = 0.0;
   if (reqs.empty()) return;
 
   // Per-context total weight of active kernels (weights are > 0, so a
@@ -62,7 +63,18 @@ void compute_shares(const SpeedupModel& model, int device_total_sms,
     const double share = static_cast<double>(context_sms[r.context]) *
                          r.weight / ctx_weight[r.context];
     grants[i].sms = share;
-    grants[i].rate = model.speedup(r.op, share) * rate_factor;
+  }
+  out.rate_factor = rate_factor;
+}
+
+void compute_shares(const SpeedupModel& model, int device_total_sms,
+                    const std::vector<int>& context_sms,
+                    const std::vector<ShareRequest>& reqs,
+                    const SharingParams& params, ShareBuffers& out) {
+  compute_set_shares(device_total_sms, context_sms, reqs, params, out);
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    out.grants[i].rate = kernel_rate(model, reqs[i].op, out.grants[i].sms,
+                                     out.rate_factor);
   }
 }
 

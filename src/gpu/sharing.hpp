@@ -50,18 +50,36 @@ struct ShareGrant {
   double rate = 0.0;  // progress rate in (1-SM work)/second
 };
 
-/// Caller-owned storage of compute_shares: `grants` receives the result,
-/// `ctx_weight` is per-context scratch. Reusing one across calls keeps the
-/// allocator off the executor's rate-recompute path.
+/// Caller-owned storage of the share computation: `grants` receives the
+/// result, `ctx_weight` is per-context scratch and `rate_factor` the
+/// running-set factor (layers 2 and 3) every rate is scaled by. Reusing one
+/// across calls keeps the allocator off the executor's rate-recompute path.
 struct ShareBuffers {
   std::vector<ShareGrant> grants;
   std::vector<double> ctx_weight;
+  double rate_factor = 0.0;
 };
 
-/// Pure allocation function (separable from the executor for testing).
-/// `context_sms[i]` is context i's SM allocation; requests reference
-/// contexts by index. Writes one grant per request, in order, to
-/// `out.grants`.
+/// Running-set part of the model: depends only on which (context, weight)
+/// pairs are running, never on their op classes. Writes each request's SM
+/// share to `out.grants[i].sms` (rates left 0) and the contention x
+/// interference x thrash factor to `out.rate_factor`.
+void compute_set_shares(int device_total_sms,
+                        const std::vector<int>& context_sms,
+                        const std::vector<ShareRequest>& reqs,
+                        const SharingParams& params, ShareBuffers& out);
+
+/// Per-kernel part: the progress rate of an `op` kernel granted `sms` SMs
+/// under a running set whose factor is `rate_factor`.
+inline double kernel_rate(const SpeedupModel& model, OpClass op, double sms,
+                          double rate_factor) {
+  return model.speedup(op, sms) * rate_factor;
+}
+
+/// Pure allocation function (separable from the executor for testing):
+/// compute_set_shares, then kernel_rate per request. `context_sms[i]` is
+/// context i's SM allocation; requests reference contexts by index. Writes
+/// one grant per request, in order, to `out.grants`.
 void compute_shares(const SpeedupModel& model, int device_total_sms,
                     const std::vector<int>& context_sms,
                     const std::vector<ShareRequest>& reqs,

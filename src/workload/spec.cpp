@@ -369,6 +369,28 @@ void validate(const ScenarioSpec& spec) {
     throw SpecError("spec: needs a \"tasks\" array, a \"generator\", or a "
                     "\"timeline\" with templates");
   }
+  // Horizons that round to nothing would otherwise surface as the base
+  // config's internal check text.
+  if (spec.base.duration <= common::SimTime::zero()) {
+    bad("spec.sim.duration_s", "must be > 0 (at least 1 ns)");
+  }
+  if (spec.base.warmup >= spec.base.duration) {
+    bad("spec.sim.warmup_s", "must be below duration_s");
+  }
+  // Stream count cap, summed without overflow before anything is built.
+  long long streams = spec.generator ? spec.generator->count : 0;
+  if (streams > kMaxSpecStreams) {
+    bad("spec.generator.count",
+        "at most " + std::to_string(kMaxSpecStreams) + " streams per spec");
+  }
+  for (std::size_t i = 0; i < spec.tasks.size(); ++i) {
+    streams += spec.tasks[i].count;
+    if (streams > kMaxSpecStreams) {
+      bad("spec.tasks[" + std::to_string(i) + "].count",
+          "brings the spec to more than " + std::to_string(kMaxSpecStreams) +
+              " streams");
+    }
+  }
   if (spec.timeline && !spec.timeline->trace_path.empty() &&
       !spec.timeline->trace) {
     throw SpecError("spec.timeline.trace",
@@ -534,8 +556,12 @@ std::vector<rt::Task> build_spec_tasks(const ScenarioSpec& spec,
     if (e.deadline_ms > 0.0) {
       tc.deadline = common::SimTime::from_ms(e.deadline_ms);
     }
+    // Replicas differ only in identity, phase and overrides: profile once.
+    const rt::Task prototype =
+        rt::build_task(id, it->second, tc, profiler, pool_sizes);
     for (int i = 0; i < e.count; ++i) {
-      rt::Task t = rt::build_task(id, it->second, tc, profiler, pool_sizes);
+      rt::Task t = prototype;
+      t.id = id;
       t.name = e.name + std::to_string(id);
       if (e.mem_mb >= 0.0) {
         t.mem_bytes =

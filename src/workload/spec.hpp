@@ -33,6 +33,11 @@ struct Instruments;
 
 namespace sgprs::workload {
 
+/// Most streams one spec may declare: the sum of `tasks[].count`, or
+/// `generator.count`. validate() rejects more before anything is built;
+/// the cap sits 100x above the largest curated scenario (10,000 streams).
+inline constexpr long long kMaxSpecStreams = 1'000'000;
+
 /// One task entry: `count` replicas of a (network, rate, stages, arrival)
 /// combination. Times are milliseconds in the JSON schema because frame
 /// budgets are naturally quoted that way.
@@ -130,8 +135,9 @@ ScenarioSpec load_scenario_spec(const std::string& path);
 /// already attached (specs built in memory set timeline->trace directly).
 void resolve_spec_trace(ScenarioSpec& spec, const std::string& spec_path);
 
-/// Semantic validation beyond parsing: entry counts, rates, separations,
-/// generator bounds, fleet shape. Throws SpecError with the field path.
+/// Semantic validation beyond parsing: entry counts (and kMaxSpecStreams),
+/// the sim horizon, rates, separations, generator bounds, fleet shape.
+/// Throws SpecError with the field path.
 void validate(const ScenarioSpec& spec);
 
 /// True when the spec lowers exactly onto ScenarioConfig's identical-task

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/rng.hpp"
+#include "gpu/sharing.hpp"
 #include "sim/engine.hpp"
 
 namespace sgprs::gpu {
@@ -432,6 +434,150 @@ TEST_F(ExecutorTest, SameInstantCallbacksSeeConsistentState) {
   EXPECT_NEAR(st.a_done.to_sec(), 2.0 / r34, 1e-6);
   EXPECT_EQ(st.a_done, st.b_done);
   EXPECT_EQ(exec_.slab_size(), 4u);
+}
+
+/// Checks every running kernel's SMs and rate, bit for bit, against a fresh
+/// compute_shares over the executor's current running set (requests in
+/// ascending stream order, as the executor sums them).
+void expect_fresh_shares(const Executor& ex, const char* where) {
+  std::vector<ShareRequest> reqs;
+  std::vector<StreamId> ids;
+  for (StreamId s = 0; s < ex.stream_count(); ++s) {
+    const KernelDesc* k = ex.running_kernel(s);
+    if (k == nullptr) {
+      EXPECT_EQ(ex.running_grant(s).rate, 0.0) << where << " stream " << s;
+      continue;
+    }
+    const SharingParams& p = ex.sharing_params();
+    reqs.push_back(ShareRequest{ex.stream_context(s),
+                                ex.stream_priority(s) == StreamPriority::kHigh
+                                    ? p.high_priority_weight
+                                    : p.low_priority_weight,
+                                k->op});
+    ids.push_back(s);
+  }
+  ASSERT_EQ(static_cast<int>(ids.size()), ex.running_kernel_count()) << where;
+  if (reqs.empty()) return;
+  std::vector<int> ctx_sms;
+  for (ContextId c = 0; c < ex.context_count(); ++c) {
+    ctx_sms.push_back(ex.context_sm_limit(c));
+  }
+  ShareBuffers fresh;
+  compute_shares(ex.speedup_model(), ex.device().total_sms, ctx_sms, reqs,
+                 ex.sharing_params(), fresh);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const ShareGrant g = ex.running_grant(ids[i]);
+    EXPECT_EQ(g.sms, fresh.grants[i].sms) << where << " stream " << ids[i];
+    EXPECT_EQ(g.rate, fresh.grants[i].rate) << where << " stream " << ids[i];
+  }
+}
+
+/// The full sharing model: contention, interference and thrash all on, so
+/// the cached running-set factor is far from 1.
+class ExecutorShareTest : public ::testing::Test {
+ protected:
+  ExecutorShareTest()
+      : exec_(engine_, rtx2080ti(), SpeedupModel::rtx2080ti(),
+              SharingParams{}) {}
+  sim::Engine engine_;
+  Executor exec_;
+};
+
+TEST_F(ExecutorShareTest, SuccessorOfAnotherOpClassKeepsTheRunningSet) {
+  const auto c0 = exec_.create_context(40);
+  const auto c1 = exec_.create_context(40);  // 80 > 68: over-subscribed
+  const auto s1 = exec_.create_stream(c0, StreamPriority::kHigh);
+  const auto s2 = exec_.create_stream(c0, StreamPriority::kLow);
+  const auto s3 = exec_.create_stream(c1, StreamPriority::kLow);
+  exec_.enqueue(s1, kernel(OpClass::kConv, 0.05), {});
+  exec_.enqueue(s1, kernel(OpClass::kLinear, 0.05), {});
+  exec_.enqueue(s2, kernel(OpClass::kReLU, 5.0), {});
+  exec_.enqueue(s3, kernel(OpClass::kMaxPool, 5.0), {});
+  expect_fresh_shares(exec_, "after enqueues");
+  const double conv_rate = exec_.running_grant(s1).rate;
+  const auto recomputes = exec_.set_recompute_count();
+  const auto reschedules = exec_.reschedule_count();
+
+  // s1's conv finishes and its linear successor starts at once: the
+  // running set is unchanged, so only the successor is rated.
+  ASSERT_TRUE(engine_.step());
+  ASSERT_EQ(exec_.running_kernel(s1)->op, OpClass::kLinear);
+  EXPECT_EQ(exec_.reschedule_count(), reschedules + 1);
+  EXPECT_EQ(exec_.set_recompute_count(), recomputes);
+  expect_fresh_shares(exec_, "successor started");
+  EXPECT_NE(exec_.running_grant(s1).rate, conv_rate);
+
+  // s1 then goes idle: the set changed, shares are recomputed for s2, s3.
+  ASSERT_TRUE(engine_.step());
+  EXPECT_EQ(exec_.running_kernel(s1), nullptr);
+  EXPECT_EQ(exec_.set_recompute_count(), recomputes + 1);
+  expect_fresh_shares(exec_, "s1 idle");
+  EXPECT_EQ(exec_.running_grant(s2).sms, 40.0);
+}
+
+TEST_F(ExecutorShareTest, SeededMixMatchesFreshShareComputeAfterEveryEvent) {
+  // Three over-subscribed contexts, six streams of both priorities, random
+  // batches of mixed op classes arriving at random instants. Completion
+  // callbacks re-enqueue onto their own stream and onto another one at the
+  // same instant, and the device is purged mid-batch once.
+  for (int sms : {40, 34, 51}) exec_.create_context(sms);
+  for (int i = 0; i < 6; ++i) {
+    exec_.create_stream(i % 3, i % 2 == 0 ? StreamPriority::kHigh
+                                          : StreamPriority::kLow);
+  }
+  struct Mix {
+    Executor* ex;
+    common::Rng rng{20240601};
+    int cross_enqueues = 0;
+    KernelDesc random_kernel() {
+      const auto op = static_cast<OpClass>(rng.uniform_int(0, 8));
+      // Quantized work makes equal-length kernels (and ties) common.
+      return kernel(op, 0.002 * static_cast<double>(rng.uniform_int(1, 5)),
+                    rng.uniform_int(0, 3) == 0 ? 1e-5 : 0.0);
+    }
+    void batch(StreamId s, int depth) {
+      const int n = static_cast<int>(rng.uniform_int(1, 4));
+      for (int i = 0; i + 1 < n; ++i) ex->enqueue(s, random_kernel(), {});
+      ex->enqueue(s, random_kernel(), [this, s, depth](SimTime) {
+        if (depth >= 3 || rng.uniform_int(0, 1) == 0) return;
+        const auto other = static_cast<StreamId>(rng.uniform_int(0, 5));
+        ex->enqueue(s, random_kernel(), {});
+        batch(other, depth + 1);
+        if (other != s) ++cross_enqueues;
+      });
+    }
+  } mix{&exec_};
+
+  constexpr int kArrivals = 400;
+  int arrived = 0;
+  bool purged = false;
+  for (int i = 0; i < kArrivals; ++i) {
+    const SimTime at = SimTime::from_sec(mix.rng.uniform(0.0, 1.0));
+    const auto s = static_cast<StreamId>(mix.rng.uniform_int(0, 5));
+    engine_.schedule_at(at, [&, s] {
+      mix.batch(s, 0);
+      if (++arrived == kArrivals / 2) {
+        ASSERT_GT(exec_.live_nodes(), 1u);
+        exec_.purge_all();
+        purged = true;
+        expect_fresh_shares(exec_, "purged");
+        mix.batch(s, 0);
+      }
+    });
+  }
+  int events = 0;
+  while (engine_.step()) {
+    ++events;
+    expect_fresh_shares(exec_, "after event");
+    if (HasFailure()) break;
+  }
+  EXPECT_TRUE(purged);
+  EXPECT_GT(mix.cross_enqueues, 20);
+  EXPECT_EQ(exec_.live_nodes(), 0u);
+  // Both paths ran: many reschedules kept the running set, many changed it.
+  EXPECT_GT(exec_.set_recompute_count(), 200u);
+  EXPECT_GT(exec_.reschedule_count() - exec_.set_recompute_count(), 200u);
+  EXPECT_GT(events, 1000);
 }
 
 // Parameterized: N equal kernels in one context finish simultaneously and

@@ -231,5 +231,34 @@ TEST_F(SharingTest, ReusedBuffersMatchFreshOnes) {
   EXPECT_DOUBLE_EQ(reused.grants[0].sms, 40.0);
 }
 
+TEST_F(SharingTest, SetSharesIgnoreOpClasses) {
+  // The executor caches the running-set part across kernel boundaries, so
+  // it must not depend on which op classes run: the same (context, weight)
+  // set with other ops gives the same shares and factor, bit for bit, and
+  // compute_shares is exactly that set part times each op's speedup.
+  const std::vector<ShareRequest> a = {{0, 2.0, OpClass::kConv},
+                                       {0, 1.0, OpClass::kReLU},
+                                       {1, 1.0, OpClass::kLinear}};
+  const std::vector<ShareRequest> b = {{0, 2.0, OpClass::kSoftmax},
+                                       {0, 1.0, OpClass::kConv},
+                                       {1, 1.0, OpClass::kMaxPool}};
+  ShareBuffers set_a, set_b, full;
+  compute_set_shares(kTotalSms, {40, 40}, a, SharingParams{}, set_a);
+  compute_set_shares(kTotalSms, {40, 40}, b, SharingParams{}, set_b);
+  ASSERT_EQ(set_a.grants.size(), 3u);
+  EXPECT_EQ(set_a.rate_factor, set_b.rate_factor);
+  EXPECT_GT(set_a.rate_factor, 0.0);
+  EXPECT_LT(set_a.rate_factor, 1.0) << "80 SMs over-subscribe 68";
+  compute_shares(model_, kTotalSms, {40, 40}, a, SharingParams{}, full);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(set_a.grants[i].sms, set_b.grants[i].sms);
+    EXPECT_EQ(set_a.grants[i].rate, 0.0);
+    EXPECT_EQ(full.grants[i].sms, set_a.grants[i].sms);
+    EXPECT_EQ(full.grants[i].rate,
+              kernel_rate(model_, a[i].op, set_a.grants[i].sms,
+                          set_a.rate_factor));
+  }
+}
+
 }  // namespace
 }  // namespace sgprs::gpu

@@ -3,6 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <memory>
+
+#include "dnn/builders.hpp"
+#include "dnn/profiler.hpp"
+#include "gpu/device.hpp"
+#include "rt/task.hpp"
 
 namespace sgprs::workload {
 namespace {
@@ -283,6 +289,46 @@ TEST(SpecValidate, OutOfRangeDurationsNameTheirField) {
   EXPECT_EQ(ok.base.duration, SimTime::from_sec(2.5e-9));
 }
 
+TEST(SpecValidate, DegenerateHorizonsNameTheirField) {
+  // 1e-10 s rounds to 0 ns: a field-path error, not the base config's
+  // internal check text.
+  EXPECT_EQ(error_path(R"({"sim": {"duration_s": 1e-10}, "tasks": [{}]})"),
+            "spec.sim.duration_s");
+  EXPECT_EQ(error_path(R"({"sim": {"duration_s": -1}, "tasks": [{}]})"),
+            "spec.sim.duration_s");
+  EXPECT_EQ(error_path(R"({"sim": {"duration_s": 1, "warmup_s": 1},
+                           "tasks": [{}]})"),
+            "spec.sim.warmup_s");
+  EXPECT_EQ(error_path(R"({"sim": {"duration_s": 1, "warmup_s": 2},
+                           "tasks": [{}]})"),
+            "spec.sim.warmup_s");
+  EXPECT_EQ(error_path(R"({"sim": {"duration_s": 1, "warmup_s": 0.999},
+                           "tasks": [{}]})"),
+            "(no error)");
+}
+
+TEST(SpecValidate, StreamCountIsCapped) {
+  // Validation only: nothing is built, so these return at once.
+  EXPECT_EQ(error_path(R"({"tasks": [{"count": 100000000}]})"),
+            "spec.tasks[0].count");
+  EXPECT_EQ(error_path(R"({"tasks": [{"count": 600000},
+                                     {"count": 400000},
+                                     {"count": 1}]})"),
+            "spec.tasks[2].count");
+  // Summed in 64 bits: two counts near INT_MAX do not wrap below the cap.
+  EXPECT_EQ(error_path(R"({"tasks": [{"count": 2147483647},
+                                     {"count": 2147483647}]})"),
+            "spec.tasks[0].count");
+  EXPECT_EQ(error_path(R"({"generator": {"count": 1000001}})"),
+            "spec.generator.count");
+  // Exactly at the cap is accepted.
+  EXPECT_EQ(error_path(R"({"tasks": [{"count": 600000},
+                                     {"count": 400000}]})"),
+            "(no error)");
+  EXPECT_EQ(error_path(R"({"generator": {"count": 1000000}})"),
+            "(no error)");
+}
+
 TEST(SpecLower, SumsReplicaCounts) {
   const auto spec = parse(kTinyMixed);
   EXPECT_FALSE(is_simple_spec(spec)) << "two entries";
@@ -347,6 +393,72 @@ TEST(SpecBuilder, SporadicFieldsAndWorstCasePeriod) {
   // Built at the worst-case rate: period == min_separation, so admission
   // and utilization math stay conservative.
   EXPECT_EQ(tasks[0].period, SimTime::from_ms(20));
+}
+
+TEST(SpecBuilder, ReplicasEqualAnIndependentBuild) {
+  // Replicas are copies of one profiled prototype per entry; each must be
+  // what its own rt::build_task would give, overrides and identity aside.
+  const auto spec = parse(R"({
+    "tasks": [
+      { "name": "cam", "count": 3, "network": "resnet18", "fps": 30,
+        "stages": 4, "deadline_ms": 25 },
+      { "name": "pin", "count": 2, "network": "lenet5", "fps": 60,
+        "stages": 2, "mem_mb": 12, "warps": 96 },
+      { "name": "spo", "count": 2, "network": "mobilenet", "stages": 3,
+        "arrival": "sporadic", "min_separation_ms": 40 }
+    ]
+  })");
+  const auto cfg = lower(spec);
+  const std::vector<int> pool_sizes = {51, 34};
+  const auto tasks = task_builder_for(spec)(cfg, pool_sizes);
+  ASSERT_EQ(tasks.size(), 7u);
+
+  const dnn::Profiler profiler(cfg.device, gpu::SpeedupModel::rtx2080ti(),
+                               dnn::CostModel::calibrated());
+  for (const auto& t : tasks) {
+    SCOPED_TRACE(t.name);
+    const TaskEntrySpec& e = *task_entry_for(spec, t.id);
+    rt::TaskConfig tc;
+    tc.fps = e.arrival == rt::ArrivalModel::kSporadic
+                 ? 1000.0 / e.min_separation_ms
+                 : e.fps;
+    tc.num_stages = e.num_stages;
+    tc.priority_policy = e.priority_policy;
+    if (e.deadline_ms > 0.0) tc.deadline = SimTime::from_ms(e.deadline_ms);
+    const auto network = std::make_shared<const dnn::Network>(
+        dnn::network_builder_by_name(e.network)());
+    const rt::Task ref =
+        rt::build_task(t.id, network, tc, profiler, pool_sizes);
+
+    EXPECT_EQ(t.name, e.name + std::to_string(t.id));
+    EXPECT_EQ(t.period, ref.period);
+    EXPECT_EQ(t.deadline, ref.deadline);
+    ASSERT_EQ(t.stage_count(), ref.stage_count());
+    for (int s = 0; s < t.stage_count(); ++s) {
+      EXPECT_EQ(t.stages[s].index, ref.stages[s].index);
+      EXPECT_EQ(t.stages[s].nodes, ref.stages[s].nodes);
+      EXPECT_EQ(t.stages[s].base_priority, ref.stages[s].base_priority);
+      EXPECT_EQ(t.stages[s].virtual_deadline_offset,
+                ref.stages[s].virtual_deadline_offset);
+    }
+    EXPECT_EQ(t.wcet.per_stage, ref.wcet.per_stage);
+    EXPECT_EQ(t.wcet.total, ref.wcet.total);
+    if (e.mem_mb >= 0.0) {
+      EXPECT_EQ(t.mem_bytes, 12 * 1048576);
+      EXPECT_EQ(t.warps, 96);
+    } else {
+      EXPECT_EQ(t.mem_bytes, ref.mem_bytes);
+      EXPECT_EQ(t.warps, ref.warps);
+    }
+  }
+  // Replicas of one entry share the network but keep their own identity.
+  EXPECT_EQ(tasks[0].network, tasks[2].network);
+  EXPECT_EQ(tasks[1].id, 1);
+  EXPECT_EQ(tasks[6].id, 6);
+  EXPECT_EQ(tasks[5].arrival, rt::ArrivalModel::kSporadic);
+  EXPECT_EQ(tasks[5].min_separation, SimTime::from_ms(40));
+  EXPECT_EQ(tasks[5].max_separation, SimTime::from_ms(60));
+  EXPECT_EQ(tasks[0].arrival, rt::ArrivalModel::kPeriodic);
 }
 
 TEST(SpecRun, HeterogeneousSpecRuns) {
