@@ -1,5 +1,5 @@
 // Shared sweep driver for the Fig. 3 / Fig. 4 reproductions, plus the
-// machine-readable benchmark reporter every bench_* binary uses to leave a
+// machine-readable reporter bench_shard_scaling uses to leave a
 // BENCH_<name>.json trajectory behind (schema: docs/benchmarks.md).
 #pragma once
 
@@ -10,7 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/json.hpp"
 #include "common/json_writer.hpp"
 #include "metrics/report.hpp"
 #include "workload/scenario.hpp"
@@ -29,43 +28,6 @@ class BenchReport {
 
   void add(const std::string& metric, double value, const std::string& unit) {
     metrics_.push_back(Metric{metric, value, unit});
-  }
-
-  /// Folds metrics from an existing BENCH_<name>.json in `dir` into this
-  /// report, keeping them ahead of this run's metrics; a metric this run
-  /// re-added wins over the file's copy. Lets several bench binaries
-  /// cooperate on one report file (bench_fleet_churn and
-  /// bench_shard_scaling both feed BENCH_fleet.json) independent of run
-  /// order — call before write(). Schema v2, docs/benchmarks.md.
-  void merge_existing(const std::string& dir = ".") {
-    const std::string path = dir + "/BENCH_" + name_ + ".json";
-    if (!std::ifstream(path)) return;  // first writer: nothing to merge
-    common::JsonValue doc;
-    try {
-      doc = common::parse_json_file(path);
-    } catch (const std::exception& e) {
-      std::cerr << "WARNING: not merging unparsable " << path << ": "
-                << e.what() << "\n";
-      return;
-    }
-    const common::JsonValue* metrics = doc.find("metrics");
-    if (!metrics || !metrics->is_array()) return;
-    std::vector<Metric> kept;
-    for (const auto& m : metrics->items()) {
-      const auto* name = m.find("name");
-      const auto* value = m.find("value");
-      const auto* unit = m.find("unit");
-      if (!name || !value || !unit) continue;
-      bool shadowed = false;
-      for (const auto& mine : metrics_) {
-        shadowed = shadowed || mine.name == name->as_string();
-      }
-      if (!shadowed) {
-        kept.push_back(
-            Metric{name->as_string(), value->as_number(), unit->as_string()});
-      }
-    }
-    metrics_.insert(metrics_.begin(), kept.begin(), kept.end());
   }
 
   /// Writes BENCH_<name>.json into `dir` (default: the working directory,

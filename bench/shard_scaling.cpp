@@ -9,8 +9,7 @@
 // the serial run — a scaling number for a run that diverged would be
 // meaningless.
 //
-// Merges its metrics into BENCH_fleet.json next to bench_fleet_churn's
-// (BenchReport::merge_existing; schema v2, docs/benchmarks.md).
+// Writes BENCH_shard_scaling.json (schema v2, docs/benchmarks.md).
 // Trajectory data, not a gate: absolute speedup depends on the host's
 // core count (1 on a serial container, ~4 on CI runners).
 #include <chrono>
@@ -72,7 +71,7 @@ double wall_seconds(const std::function<void()>& fn) {
 }  // namespace
 
 int main() {
-  bench::BenchReport report("fleet");
+  bench::BenchReport report("shard_scaling");
   std::cout << "shard scaling bench (8 devices, 48 streams)\n";
 
   double serial_eps = 0.0;
@@ -111,7 +110,6 @@ int main() {
     report.add(tag + "_speedup", speedup, "ratio");
   }
 
-  report.merge_existing();
   report.write();
   return 0;
 }

@@ -419,7 +419,10 @@ class FleetRuntime {
         engine_.schedule_at(t, [this, i] { run_trace_event(i); });
       }
     } else {
-      // Scripted events (every_s expands against the run horizon).
+      // Scripted events (every_s expands against the run horizon; later
+      // instants would be dropped by schedule_event, so the loop stops
+      // there and validation bounds its length).
+      const double horizon_s = cfg_.duration.to_sec();
       for (std::size_t i = 0; i < timeline_.events.size(); ++i) {
         const TimelineEvent& e = timeline_.events[i];
         if (e.every_s <= 0.0) {
@@ -427,7 +430,7 @@ class FleetRuntime {
           continue;
         }
         const double until =
-            e.until_s > 0.0 ? e.until_s : cfg_.duration.to_sec();
+            e.until_s > 0.0 ? std::min(e.until_s, horizon_s) : horizon_s;
         for (double t = e.from_s; t <= until; t += e.every_s) {
           schedule_event(SimTime::from_sec(t), i);
         }
@@ -1349,22 +1352,10 @@ FleetRunResult run_fleet_scenario(const ScenarioSpec& spec,
   return runtime.run();
 }
 
-FleetRunResult run_fleet_scenario(const ScenarioSpec& spec,
-                                  const workload::RunSeeds& seeds,
-                                  trace::TraceRecorder* capture) {
-  return run_fleet_scenario(spec, seeds, capture, obs::Instruments{});
-}
-
-FleetRunResult run_fleet_scenario(const ScenarioSpec& spec,
-                                  const workload::RunSeeds& seeds) {
-  return run_fleet_scenario(spec, seeds, nullptr);
-}
-
 FleetRunResult run_fleet_scenario(const ScenarioSpec& spec) {
-  workload::RunSeeds seeds;
-  seeds.sim = spec.base.seed;
-  seeds.generator = spec.generator ? spec.generator->seed : 0;
-  return run_fleet_scenario(spec, seeds, nullptr);
+  return run_fleet_scenario(
+      spec, workload::RunSeeds{spec.base.seed,
+                               spec.generator ? spec.generator->seed : 0});
 }
 
 }  // namespace sgprs::fleet

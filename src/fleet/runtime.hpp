@@ -41,38 +41,29 @@ namespace sgprs::trace {
 class TraceRecorder;
 }  // namespace sgprs::trace
 
-namespace sgprs::obs {
-struct Instruments;
-}  // namespace sgprs::obs
-
 namespace sgprs::fleet {
 
 /// Runs one open-world spec (validated by the caller; run_spec and the
-/// suite runner route here when spec.dynamic()).
+/// suite runner route here when spec.dynamic()) with its own seeds.
 FleetRunResult run_fleet_scenario(const workload::ScenarioSpec& spec);
 
 /// Seed-overriding variant for experiment replications: seeds.sim replaces
 /// the sim seed (phases, arrival jitter, churn mixing), seeds.generator
 /// the task-generator seed.
-FleetRunResult run_fleet_scenario(const workload::ScenarioSpec& spec,
-                                  const workload::RunSeeds& seeds);
-
-/// Capture variant: when `capture` is non-null the runtime feeds it the
-/// run's admit/retire stream (trace::TraceRecorder, --record-trace).
-/// Recording never perturbs the run; replaying the captured trace against
-/// the same base spec reproduces the report byte for byte.
-FleetRunResult run_fleet_scenario(const workload::ScenarioSpec& spec,
-                                  const workload::RunSeeds& seeds,
-                                  trace::TraceRecorder* capture);
-
-/// Instrumented variant (docs/observability.md): `instruments.spans`
-/// collects execution spans for --trace-spans, `instruments.profiler`
-/// times the runtime's coarse phases for --profile. Both are optional and
-/// neither perturbs the run — the report is byte-identical with and
-/// without instruments attached.
+///
+/// When `capture` is non-null the runtime feeds it the run's admit/retire
+/// stream (trace::TraceRecorder, --record-trace). Recording never perturbs
+/// the run; replaying the captured trace against the same base spec
+/// reproduces the report byte for byte.
+///
+/// `instruments` (docs/observability.md): `instruments.spans` collects
+/// execution spans for --trace-spans, `instruments.profiler` times the
+/// runtime's coarse phases for --profile. Both are optional and neither
+/// perturbs the run — the report is byte-identical with and without
+/// instruments attached.
 FleetRunResult run_fleet_scenario(const workload::ScenarioSpec& spec,
                                   const workload::RunSeeds& seeds,
-                                  trace::TraceRecorder* capture,
-                                  const obs::Instruments& instruments);
+                                  trace::TraceRecorder* capture = nullptr,
+                                  const obs::Instruments& instruments = {});
 
 }  // namespace sgprs::fleet

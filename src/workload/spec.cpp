@@ -1,5 +1,6 @@
 #include "workload/spec.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <limits>
@@ -345,6 +346,53 @@ void resolve_spec_trace(ScenarioSpec& spec, const std::string& spec_path) {
       std::make_shared<const trace::Trace>(trace::load_trace(p.string()));
 }
 
+namespace {
+
+/// Extends the stream cap to churn, which adds streams while the run
+/// executes: each scripted event's count x repetitions (every_s over
+/// [from_s, until_s], clipped to the horizon — the runtime drops later
+/// instants) and each Poisson arrival's expected admissions (rate x active
+/// window), on top of the `initial` tasks/generator streams. Summed in
+/// double, so no product can overflow before the comparison. Retire events
+/// count too: each retirement is churn work of the same size as an
+/// admission.
+void check_churn_volume(const fleet::TimelineSpec& timeline,
+                        long long initial, double horizon_s) {
+  double total = static_cast<double>(initial);
+  const auto add = [&](double n, const std::string& path) {
+    total += n;
+    if (total > static_cast<double>(kMaxSpecStreams)) {
+      bad(path, "brings the spec to more than " +
+                    std::to_string(kMaxSpecStreams) +
+                    " streams (initial streams plus timeline admissions "
+                    "and retirements)");
+    }
+  };
+  const auto window_end = [&](double until_s) {
+    return until_s > 0.0 ? std::min(until_s, horizon_s) : horizon_s;
+  };
+  for (std::size_t i = 0; i < timeline.events.size(); ++i) {
+    const auto& e = timeline.events[i];
+    const std::string p = "spec.timeline.events[" + std::to_string(i) + "]";
+    if (e.every_s <= 0.0) {
+      add(e.count, p + ".count");
+      continue;
+    }
+    const double span = window_end(e.until_s) - e.from_s;
+    const double repetitions =
+        span < 0.0 ? 0.0 : std::floor(span / e.every_s) + 1.0;
+    add(e.count * repetitions, p + ".every_s");
+  }
+  for (std::size_t i = 0; i < timeline.arrivals.size(); ++i) {
+    const auto& a = timeline.arrivals[i];
+    const double span = window_end(a.until_s) - a.from_s;
+    add(a.rate_per_s * std::max(span, 0.0),
+        "spec.timeline.arrivals[" + std::to_string(i) + "].rate_per_s");
+  }
+}
+
+}  // namespace
+
 void validate(const ScenarioSpec& spec) {
   // Sharding parallelizes the fleet runtime's epoch loop; the closed-world
   // paths are single-calendar by construction, so a shard count on one is
@@ -438,6 +486,7 @@ void validate(const ScenarioSpec& spec) {
 
   if (spec.timeline) {
     fleet::validate_timeline(*spec.timeline, "spec.timeline");
+    check_churn_volume(*spec.timeline, streams, spec.base.duration.to_sec());
   }
   if (spec.fleet_policy) {
     fleet::validate_fleet_policy(*spec.fleet_policy, "spec.fleet_policy");
@@ -637,49 +686,6 @@ void capture_static_run(const ScenarioSpec& spec,
   }
 }
 
-/// Shared run path. The builder captures `spec` by reference — safe
-/// because it is only invoked synchronously inside the run_* call below.
-SpecResult run_spec_impl(const ScenarioSpec& spec, std::uint64_t sim_seed,
-                         std::uint64_t generator_seed,
-                         trace::TraceRecorder* capture,
-                         const obs::Instruments& instruments) {
-  ScenarioConfig cfg = lower(spec);
-  cfg.seed = sim_seed;
-
-  SpecResult result;
-  result.name = spec.name;
-  result.fleet = spec.fleet_mode;
-  // Open-world specs (timeline / fleet_policy) run in the fleet runtime;
-  // everything else keeps its closed-world path untouched.
-  if (spec.dynamic()) {
-    result.dynamic = true;
-    RunSeeds seeds;
-    seeds.sim = sim_seed;
-    seeds.generator = generator_seed;
-    result.dyn =
-        fleet::run_fleet_scenario(spec, seeds, capture, instruments);
-    return result;
-  }
-  // Simple specs run through the default identical-task builder — the
-  // exact code path of the hard-coded benches, so results are
-  // bit-identical (pinned by spec_test).
-  const TaskSetBuilder builder =
-      is_simple_spec(spec)
-          ? TaskSetBuilder{}
-          : TaskSetBuilder{[&spec, generator_seed](
-                               const ScenarioConfig& c,
-                               const std::vector<int>& pool_sizes) {
-              return build_spec_tasks(spec, generator_seed, c, pool_sizes);
-            }};
-  if (spec.fleet_mode) {
-    result.cluster = run_cluster_scenario(cfg, builder);
-  } else {
-    result.single = run_scenario(cfg, builder);
-  }
-  if (capture) capture_static_run(spec, generator_seed, cfg, *capture);
-  return result;
-}
-
 }  // namespace
 
 TaskSetBuilder task_builder_for(const ScenarioSpec& spec) {
@@ -710,34 +716,52 @@ int task_tier_for(const ScenarioSpec& spec, int task_index) {
   return e ? e->tier : 0;
 }
 
-SpecResult run_spec(const ScenarioSpec& spec) {
-  return run_spec(spec, static_cast<trace::TraceRecorder*>(nullptr));
-}
-
 SpecResult run_spec(const ScenarioSpec& spec,
                     trace::TraceRecorder* capture) {
   validate(spec);
-  return run_spec_impl(spec, spec.base.seed,
-                       spec.generator ? spec.generator->seed : 0, capture,
-                       obs::Instruments{});
+  return run_spec(spec,
+                  RunSeeds{spec.base.seed,
+                           spec.generator ? spec.generator->seed : 0},
+                  capture);
 }
 
-SpecResult run_spec(const ScenarioSpec& spec, const RunSeeds& seeds) {
-  return run_spec_impl(spec, seeds.sim, seeds.generator, nullptr,
-                       obs::Instruments{});
-}
-
-SpecResult run_spec(const ScenarioSpec& spec, const RunSeeds& seeds,
-                    trace::TraceRecorder* capture) {
-  return run_spec_impl(spec, seeds.sim, seeds.generator, capture,
-                       obs::Instruments{});
-}
-
+// The builder captures `spec` by reference — safe because it is only
+// invoked synchronously inside the run_* call below.
 SpecResult run_spec(const ScenarioSpec& spec, const RunSeeds& seeds,
                     trace::TraceRecorder* capture,
                     const obs::Instruments& instruments) {
-  return run_spec_impl(spec, seeds.sim, seeds.generator, capture,
-                       instruments);
+  ScenarioConfig cfg = lower(spec);
+  cfg.seed = seeds.sim;
+
+  SpecResult result;
+  result.name = spec.name;
+  result.fleet = spec.fleet_mode;
+  // Open-world specs (timeline / fleet_policy) run in the fleet runtime;
+  // everything else keeps its closed-world path untouched.
+  if (spec.dynamic()) {
+    result.dynamic = true;
+    result.dyn =
+        fleet::run_fleet_scenario(spec, seeds, capture, instruments);
+    return result;
+  }
+  // Simple specs run through the default identical-task builder — the
+  // exact code path of the hard-coded benches, so results are
+  // bit-identical (pinned by spec_test).
+  const TaskSetBuilder builder =
+      is_simple_spec(spec)
+          ? TaskSetBuilder{}
+          : TaskSetBuilder{[&spec, generator_seed = seeds.generator](
+                               const ScenarioConfig& c,
+                               const std::vector<int>& pool_sizes) {
+              return build_spec_tasks(spec, generator_seed, c, pool_sizes);
+            }};
+  if (spec.fleet_mode) {
+    result.cluster = run_cluster_scenario(cfg, builder);
+  } else {
+    result.single = run_scenario(cfg, builder);
+  }
+  if (capture) capture_static_run(spec, seeds.generator, cfg, *capture);
+  return result;
 }
 
 }  // namespace sgprs::workload

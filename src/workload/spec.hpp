@@ -20,16 +20,13 @@
 #include "fleet/policy.hpp"
 #include "fleet/report.hpp"
 #include "fleet/timeline.hpp"
+#include "obs/instruments.hpp"
 #include "workload/scenario.hpp"
 #include "workload/spec_error.hpp"
 
 namespace sgprs::trace {
 class TraceRecorder;
 }  // namespace sgprs::trace
-
-namespace sgprs::obs {
-struct Instruments;
-}  // namespace sgprs::obs
 
 namespace sgprs::workload {
 
@@ -197,9 +194,6 @@ struct SpecResult {
   }
 };
 
-/// Validates and runs one spec end to end.
-SpecResult run_spec(const ScenarioSpec& spec);
-
 /// Per-run seed overrides, replacing spec.base.seed and (when a generator
 /// section exists) spec.generator->seed without touching the spec itself.
 struct RunSeeds {
@@ -207,32 +201,32 @@ struct RunSeeds {
   std::uint64_t generator = 0;
 };
 
+/// Validates and runs one spec end to end with its own seeds.
+///
+/// When `capture` is non-null (--record-trace) the run feeds it the
+/// admit/retire stream. Dynamic specs record their churn exactly
+/// (replaying the trace against the same base spec is byte-identical);
+/// closed-world specs record their initial task set as t=0 admissions,
+/// turning any static scenario into a replayable open-world workload
+/// (approximate: the closed-world report format differs).
+SpecResult run_spec(const ScenarioSpec& spec,
+                    trace::TraceRecorder* capture = nullptr);
+
 /// Runs one *already validated* spec with the given seeds. This is the
 /// Monte-Carlo hot path: the experiment engine validates every grid cell
 /// once up front, then fires (cells x replications) jobs through here
 /// against a shared immutable per-cell spec — no ScenarioSpec copy and no
 /// re-validation per job. Seeds are the only thing that varies between
 /// replications of a cell.
-SpecResult run_spec(const ScenarioSpec& spec, const RunSeeds& seeds);
-
-/// Capture variants (--record-trace): when `capture` is non-null the run
-/// feeds it the admit/retire stream. Dynamic specs record their churn
-/// exactly (replaying the trace against the same base spec is
-/// byte-identical); closed-world specs record their initial task set as
-/// t=0 admissions, turning any static scenario into a replayable open-
-/// world workload (approximate: the closed-world report format differs).
-SpecResult run_spec(const ScenarioSpec& spec, trace::TraceRecorder* capture);
+///
+/// `capture` is as above. `instruments` (--trace-spans / --profile,
+/// docs/observability.md) are optional: span tracing requires the dynamic
+/// fleet-runtime path, and the CLI rejects --trace-spans on static specs
+/// up front; the profiler attaches to any path (the dynamic runtime
+/// additionally times its internal phases). Neither instrument perturbs
+/// the run: report bytes are identical with and without them.
 SpecResult run_spec(const ScenarioSpec& spec, const RunSeeds& seeds,
-                    trace::TraceRecorder* capture);
-
-/// Instrumented variant (--trace-spans / --profile, docs/observability.md).
-/// Span tracing requires the dynamic fleet-runtime path; the CLI rejects
-/// --trace-spans on static specs up front. The profiler attaches to any
-/// path (the dynamic runtime additionally times its internal phases).
-/// Neither instrument perturbs the run: report bytes are identical with
-/// and without them.
-SpecResult run_spec(const ScenarioSpec& spec, const RunSeeds& seeds,
-                    trace::TraceRecorder* capture,
-                    const obs::Instruments& instruments);
+                    trace::TraceRecorder* capture = nullptr,
+                    const obs::Instruments& instruments = {});
 
 }  // namespace sgprs::workload

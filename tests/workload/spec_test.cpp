@@ -329,6 +329,63 @@ TEST(SpecValidate, StreamCountIsCapped) {
             "(no error)");
 }
 
+TEST(SpecValidate, TimelineChurnCountsTowardTheStreamCap) {
+  // 1 s horizon, one initial stream; the timeline section is appended.
+  const auto with = [](const std::string& churn) {
+    return error_path(R"({"sim": {"duration_s": 1, "warmup_s": 0},
+                          "tasks": [{}],
+                          "timeline": {"templates": [{"name": "cam"}], )" +
+                      churn + "}}");
+  };
+  // Poisson arrivals count their expected admissions, rate x window
+  // (until_s = 0 is the horizon).
+  EXPECT_EQ(with(R"("arrivals": [{"template": "cam", "rate_per_s": 1e9}])"),
+            "spec.timeline.arrivals[0].rate_per_s");
+  EXPECT_EQ(with(R"("arrivals": [{"template": "cam", "rate_per_s": 1e6}])"),
+            "spec.timeline.arrivals[0].rate_per_s");
+  EXPECT_EQ(with(R"("arrivals": [{"template": "cam", "rate_per_s": 999999}])"),
+            "(no error)");
+  // A window reaching past the horizon counts only up to it.
+  EXPECT_EQ(with(R"("arrivals": [{"template": "cam", "rate_per_s": 1.5e6,
+                                  "from_s": 0.5, "until_s": 100}])"),
+            "(no error)");
+  EXPECT_EQ(with(R"("arrivals": [{"template": "cam", "rate_per_s": 6e5},
+                                 {"template": "cam", "rate_per_s": 6e5}])"),
+            "spec.timeline.arrivals[1].rate_per_s");
+  // Repeating events count count x repetitions over [from_s, until_s]:
+  // every 0.25 s on [0, 1] fires 5 times.
+  EXPECT_EQ(with(R"("events": [{"admit": "cam", "every_s": 1e-9}])"),
+            "spec.timeline.events[0].every_s");
+  EXPECT_EQ(with(R"("events": [{"retire": "cam", "count": 200000,
+                                "every_s": 0.25}])"),
+            "spec.timeline.events[0].every_s");
+  EXPECT_EQ(with(R"("events": [{"admit": "cam", "count": 199999,
+                                "every_s": 0.25}])"),
+            "(no error)");
+  // Products far past int64 do not wrap below the cap.
+  EXPECT_EQ(with(R"("events": [{"admit": "cam", "count": 2147483647,
+                                "every_s": 1e-9, "until_s": 1e9}])"),
+            "spec.timeline.events[0].every_s");
+  // A one-shot event counts its count once.
+  EXPECT_EQ(with(R"("events": [{"admit": "cam", "count": 2000000000,
+                                "at_s": 0.5}])"),
+            "spec.timeline.events[0].count");
+
+  // The curated flash crowd at 1e9 arrivals/s fails validation instead of
+  // attempting ~1e9 admissions.
+  auto crowd = load_scenario_spec(std::string(SGPRS_SOURCE_DIR) +
+                                  "/scenarios/flash_crowd.json");
+  ASSERT_TRUE(crowd.timeline);
+  ASSERT_EQ(crowd.timeline->arrivals.size(), 1u);
+  crowd.timeline->arrivals[0].rate_per_s = 1e9;
+  try {
+    validate(crowd);
+    ADD_FAILURE() << "a 1e9/s arrival process must not validate";
+  } catch (const SpecError& e) {
+    EXPECT_EQ(e.path(), "spec.timeline.arrivals[0].rate_per_s");
+  }
+}
+
 TEST(SpecLower, SumsReplicaCounts) {
   const auto spec = parse(kTinyMixed);
   EXPECT_FALSE(is_simple_spec(spec)) << "two entries";
